@@ -449,6 +449,9 @@ def run_task(doc: SpecDocument, index: int, *,
     task = doc.tasks[index]
     precision = task.precision
     if precision_override is not None:
+        if precision_override < 0:
+            raise SpecParseError(
+                f"precision must be a natural number, got {precision_override}")
         if precision_override > max_precision:
             raise SpecParseError(
                 f"precision {precision_override} exceeds the configured "

@@ -13,6 +13,7 @@ it meets.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -36,6 +37,7 @@ from .realcore import (
     dyadic_round,
     pow2,
     prec_for,
+    square_partial_sums,
 )
 from .hilbert import (
     FiniteCombo,
@@ -68,12 +70,11 @@ class OperatorName:
     evaluation program).
 
     The bound is a rational upper bound on the operator norm and is what
-    every downstream precision schedule keys off.  apply() results are
-    memoised per input name, so shared subexpressions evaluate once; for
-    codomains that are direct sums the program returns SumNames.
+    every downstream precision schedule keys off.  For codomains that are
+    direct sums the program returns SumNames.
     """
 
-    __slots__ = ("dom", "cod", "bound", "_program", "_memo", "_lock")
+    __slots__ = ("dom", "cod", "bound", "_program")
 
     def __init__(self, dom: SpaceDescriptor, cod: SpaceDescriptor,
                  bound: Fraction, program):
@@ -84,23 +85,13 @@ class OperatorName:
         self.cod = cod
         self.bound = bound
         self._program = program
-        self._memo: dict[int, tuple[object, object]] = {}
-        self._lock = threading.Lock()
 
     def apply(self, f):
         fspace = f.space if isinstance(f, VectorName) else f.space.descriptor
         if not same_space(fspace, self.dom):
             raise SpaceMismatchError(
                 f"operator domain {self.dom!r} does not match input {fspace!r}")
-        key = id(f)
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is not None and hit[0] is f:
-                return hit[1]
-        out = self._program(f)
-        with self._lock:
-            self._memo[key] = (f, out)
-        return out
+        return self._program(f)
 
     def __repr__(self) -> str:
         return f"OperatorName({self.dom.ident}->{self.cod.ident}, bound={self.bound})"
@@ -432,11 +423,6 @@ def corresponding_frame(G: GFrameName, sys: InnerSystem,
     return FrameName(H, vec, vecnorm, lower, upper)
 
 
-def _cut_against(total: CReal, partial_at: Callable[[int], CReal],
-                 theta: Fraction, p: int, limit: int, what: str) -> int:
-    return certified_tail_cut(total, partial_at, theta, p, limit, what=what)
-
-
 def gframe_from_corresponding(F: FrameName, sys: InnerSystem,
                               co: CoefficientOracle, *,
                               max_terms_shift: int = 16) -> GFrameName:
@@ -483,27 +469,17 @@ def gframe_from_corresponding(F: FrameName, sys: InnerSystem,
                          for k in range(row.count)]
                 return linear_combination(cod, pairs)
 
-            coeffs: list[CReal] = []
-            squares: list[CReal] = []
-
-            def extend(upto: int) -> None:
-                while len(coeffs) < upto:
-                    c = inner_product(f, F.vec(i, len(coeffs)))
-                    coeffs.append(c)
-                    squares.append(creal_mul(c, c))
+            coeffs = CRealSeq(lambda k: inner_product(f, F.vec(i, k)))
+            partial = square_partial_sums(coeffs)
 
             def fn(n: int) -> FiniteCombo:
                 # row-synthesis tail <= sqrt(B_row) * l2 coefficient tail
                 theta = pow2(-(2 * n + 4)) / (2 * b_row_sq)
-
-                def partial(count: int) -> CReal:
-                    extend(count)
-                    return creal_sum(squares[:count])
-
-                count = _cut_against(co(f, i), partial, theta, prec_for(theta),
-                                     1 << (n + max_terms_shift),
-                                     "row coefficient oracle")
-                pairs = [(coeffs[k], row.atoms(k)) for k in range(count)]
+                count = certified_tail_cut(co(f, i), partial, theta,
+                                           prec_for(theta),
+                                           1 << (n + max_terms_shift),
+                                           what="row coefficient oracle")
+                pairs = [(coeffs.at(k), row.atoms(k)) for k in range(count)]
                 return linear_combination(cod, pairs).approx(n + 1)
 
             return VectorName(cod, fn)
@@ -534,25 +510,15 @@ def _adjoint_component(G: GFrameName, corr: FrameName, i: int,
     sqrt_b = sqrt_upper(G.upper, bits=4)
     b_up = sqrt_b * sqrt_b
     total = inner_product(fi, fi)
-    coeffs: list[CReal] = []
-    squares: list[CReal] = []
-
-    def extend(upto: int) -> None:
-        while len(coeffs) < upto:
-            c = inner_product(fi, basis_vector(cod, len(coeffs)))
-            coeffs.append(c)
-            squares.append(creal_mul(c, c))
+    coeffs = CRealSeq(lambda j: inner_product(fi, basis_vector(cod, j)))
+    partial = square_partial_sums(coeffs)
 
     def fn(n: int) -> FiniteCombo:
         theta = pow2(-(2 * n + 4)) / (2 * b_up)
-
-        def partial(count: int) -> CReal:
-            extend(count)
-            return creal_sum(squares[:count])
-
-        count = _cut_against(total, partial, theta, prec_for(theta),
-                             1 << (n + max_terms_shift), "component expansion")
-        pairs = [(coeffs[j], corr.vec(i, j)) for j in range(count)]
+        count = certified_tail_cut(total, partial, theta, prec_for(theta),
+                                   1 << (n + max_terms_shift),
+                                   what="component expansion")
+        pairs = [(coeffs.at(j), corr.vec(i, j)) for j in range(count)]
         return linear_combination(H, pairs).approx(n + 1)
 
     return VectorName(H, fn)
@@ -595,8 +561,9 @@ def _build_synthesis(G: GFrameName, norms: NormsOracle,
                 return creal_sum([inner_product(F.component(i), F.component(i))
                                   for i in range(count)])
 
-            count = _cut_against(F.normsq, partial, theta, prec_for(theta),
-                                 1 << (n + max_terms_shift), "input norm datum")
+            count = certified_tail_cut(F.normsq, partial, theta, prec_for(theta),
+                                       1 << (n + max_terms_shift),
+                                       what="input norm datum")
             pad = count.bit_length() + 1
             acc = FiniteCombo(H, {})
             for i in range(count):
@@ -697,20 +664,36 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
                           upper: Fraction) -> OperatorName:
     """Certified inverse of a self-adjoint operator with spectrum inside
     [lower, upper], realised by relaxation iteration with an explicit
-    geometric rate."""
+    geometric rate.
+
+    Every dual component and the dual's analysis mass apply the inverse
+    to the same input, so the iterates are shared per input name and
+    quantised precision.  The table is keyed weakly and holds nothing
+    that refers to the input, so it goes when the input does; the first
+    iterate stored wins a race."""
     lower, upper = Fraction(lower), Fraction(upper)
     if not (0 < lower <= upper):
         raise ValueError("spectral bounds must satisfy 0 < lower <= upper")
+    iterates: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    lock = threading.Lock()
 
     def program(g: VectorName) -> VectorName:
         gbound = Fraction(g.approx(0).norm_upper() + 1)
+        with lock:
+            table = iterates.setdefault(g, {})
 
         def fn(n: int) -> FiniteCombo:
-            # extra steps cost nothing when the window holds (the map is
-            # a contraction) and give the divergence guard room to
-            # observe growth when it does not
-            steps = _iteration_count(gbound, lower, upper, n) + 3
-            return richardson_iterate(S, lower, upper, g, steps, n)
+            with lock:
+                got = table.get(n)
+            if got is None:
+                # extra steps cost nothing when the window holds (the map
+                # is a contraction) and give the divergence guard room to
+                # observe growth when it does not
+                steps = _iteration_count(gbound, lower, upper, n) + 3
+                got = richardson_iterate(S, lower, upper, g, steps, n)
+                with lock:
+                    got = table.setdefault(n, got)
+            return got
 
         return VectorName(S.dom, fn)
 

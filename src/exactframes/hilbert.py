@@ -28,16 +28,17 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 from .errors import SpaceMismatchError
 from .realcore import (
     CReal,
+    CRealSeq,
     bits_for,
     ceil_int,
     certified_tail_cut,
     creal_from_rational,
     creal_mul,
     creal_sqrt,
-    creal_sum,
     dyadic_round,
     pow2,
     quantize_precision,
+    square_partial_sums,
 )
 
 _space_counter = itertools.count(1)
@@ -196,11 +197,11 @@ class VectorName:
     """A point of a space as a Cauchy name.
 
     approx(n) is a finite combination within 2**-n of the point in norm.
-    Approximations are memoised per exact precision; instances are
+    Approximations are memoised per quantised precision; instances are
     immutable and safe to share across threads.
     """
 
-    __slots__ = ("space", "_fn", "_exact", "_cache", "_lock")
+    __slots__ = ("space", "_fn", "_exact", "_cache", "_lock", "__weakref__")
 
     def __init__(self, space: SpaceDescriptor,
                  fn: Optional[Callable[[int], FiniteCombo]] = None,
@@ -355,27 +356,17 @@ class FunctionalName:
     understatement, not overstatement.
     """
 
-    __slots__ = ("space", "_eval", "opnorm", "_memo", "_lock")
+    __slots__ = ("space", "_eval", "opnorm")
 
     def __init__(self, space: SpaceDescriptor,
                  eval_fn: Callable[[VectorName], CReal], opnorm: CReal):
         self.space = space
         self._eval = eval_fn
         self.opnorm = opnorm
-        self._memo: dict[int, tuple[VectorName, CReal]] = {}
-        self._lock = threading.Lock()
 
     def eval(self, f: VectorName) -> CReal:
         _require_same_space(f.space, self.space)
-        key = id(f)
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is not None and hit[0] is f:
-                return hit[1]
-        out = self._eval(f)
-        with self._lock:
-            self._memo[key] = (f, out)
-        return out
+        return self._eval(f)
 
 
 def riesz_functional(y: VectorName, ynorm: CReal) -> FunctionalName:
@@ -399,20 +390,8 @@ def vector_from_coefficients(space: SpaceDescriptor,
     raises PrecisionExhaustionError, as does exceeding 2**(n +
     max_terms_shift) terms.
     """
-    coeffs: list[CReal] = []
-    squares: list[CReal] = []
-    lock = threading.Lock()
-
-    def extend(upto: int) -> None:
-        with lock:
-            while len(coeffs) < upto:
-                c = coeff(len(coeffs))
-                coeffs.append(c)
-                squares.append(creal_mul(c, c))
-
-    def partial(count: int) -> CReal:
-        extend(count)
-        return creal_sum(squares[:count])
+    coeffs = CRealSeq(coeff)
+    partial = square_partial_sums(coeffs)
 
     def cut_point(n: int) -> int:
         return certified_tail_cut(
@@ -421,12 +400,11 @@ def vector_from_coefficients(space: SpaceDescriptor,
 
     def fn(n: int) -> FiniteCombo:
         count = space.dimension if space.dimension is not None else cut_point(n)
-        extend(count)
         # coordinate rounding: sqrt(count) * 1.5 * 2^-m <= 2^-(n+2)
         m = n + 3 + (count.bit_length() + 1) // 2
         terms = {}
         for k in range(count):
-            v = dyadic_round(coeffs[k].approx(m), m)
+            v = dyadic_round(coeffs.at(k).approx(m), m)
             if v:
                 terms[k] = v
         return FiniteCombo(space, terms)

@@ -287,6 +287,13 @@ class CRealSeq:
         return cls(lambda i: consts[i] if i < len(consts) else rest)
 
 
+def square_partial_sums(xs: CRealSeq) -> Callable[[int], CReal]:
+    """count -> the sum of the squares of the first count terms of xs,
+    each square memoised per index."""
+    squares = CRealSeq(lambda k: creal_mul(xs.at(k), xs.at(k)))
+    return lambda count: creal_sum([squares.at(k) for k in range(count)])
+
+
 def creal_limit(xs: CRealSeq, modulus: Callable[[int], int]) -> CReal:
     """Effective limit of a sequence with an explicit convergence modulus.
 

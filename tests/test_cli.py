@@ -127,6 +127,9 @@ class TestExitCodes:
         text = "version 1\nspace H infinite\nvector v H 0:1.5\n"
         assert run_eval(tmp_path, text) == EXIT_PARSE
 
+    def test_negative_precision_override_is_a_parse_error(self, tmp_path):
+        assert run_eval(tmp_path, DEMO, extra=["--precision", "-3"]) == EXIT_PARSE
+
     def test_resolve_error(self, tmp_path):
         text = "version 1\nspace H infinite\ntask norm ghost precision 5\n"
         assert run_eval(tmp_path, text) == EXIT_RESOLVE

@@ -1,6 +1,7 @@
 """Names are immutable values: concurrent evaluation from several
 threads must agree with serial evaluation exactly."""
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ from exactframes import (
     basis_vector,
     creal_sqrt,
     creal_from_rational,
+    diagonal_gframe,
+    frame_operator,
+    invert_frame_operator,
     riesz_functional,
     riesz_representer,
     vec_norm,
@@ -33,7 +37,8 @@ def hammer(fn, workers=6):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
     return results
 
@@ -53,8 +58,23 @@ def test_shared_representer_evaluates_consistently(H):
     assert got[0] == serial
 
 
-def test_functional_memo_is_threadsafe(H):
+def test_functional_eval_is_threadsafe(H):
     func = riesz_functional(basis_vector(H, 1), creal_from_rational(1))
     probe = vec(H, {1: F(5, 7)})
     got = hammer(lambda: func.eval(probe).approx(25))
     assert len(set(got)) == 1
+
+
+def test_shared_inverse_keeps_one_iterate_per_precision(H):
+    G, norms, ao = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
+    inv = invert_frame_operator(frame_operator(G, norms, ao), G.lower, G.upper)
+    f = vec(H, {0: F(1, 3), 1: F(-2, 5), 2: F(1, 7)})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = hammer(lambda: inv.apply(f).approx(20))
+    finally:
+        sys.setswitchinterval(interval)
+    # a lost update would hand different threads different iterates
+    assert all(x is got[0] for x in got)
+    assert inv.apply(f).approx(20) is got[0]

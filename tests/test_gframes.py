@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,7 @@ from exactframes import (
     kernel_dual_pair,
     kernel_from_dual,
     linear_combination,
+    operator_compose,
     operator_from_columns,
     pseudo_inverse,
     reconstruct,
@@ -98,10 +101,45 @@ class TestOperatorNames:
         rhs = vec_lincomb(F(2), op.apply(x), F(-1, 3), op.apply(y))
         assert vec_distance(lhs, rhs).approx(25) <= pow2(-25)
 
-    def test_apply_is_memoised(self, H):
-        op = identity_operator(H)
-        f = vec(H, {0: 1})
-        assert op.apply(f) is op.apply(f)
+    def test_apply_is_memoised(self, H, weighted):
+        G, norms, ao = weighted
+        inv = invert_frame_operator(frame_operator(G, norms, ao), G.lower, G.upper)
+        f = vec(H, {0: 1, 1: F(1, 2)})
+        assert inv.apply(f).approx(20) is inv.apply(f).approx(20)
+
+    def test_two_compositions_share_one_inversion(self, H):
+        S = diagonal_operator(
+            H, lambda k: {0: F(4), 1: F(1, 4)}.get(k, F(1)), F(4))
+        calls = [0]
+
+        def counted(g):
+            calls[0] += 1
+            return S.apply(g)
+
+        inv = invert_frame_operator(OperatorName(H, H, S.bound, counted),
+                                    F(1, 4), F(4))
+        f = vec(H, {0: 1, 1: F(1, 2), 2: F(-1, 3)})
+        # equal bounds, so both query the inverse at one precision
+        first = operator_compose(diagonal_operator(H, lambda k: F(1), F(2)), inv)
+        second = operator_compose(diagonal_operator(H, lambda k: F(2), F(2)), inv)
+        first.apply(f).approx(20)
+        once = calls[0]
+        second.apply(f).approx(20)
+        assert once > 0 and calls[0] == once
+
+    @pytest.mark.parametrize("inverted", [False, True],
+                             ids=["frame-operator", "inverse"])
+    def test_keeps_no_reference_to_its_input(self, H, weighted, inverted):
+        G, norms, ao = weighted
+        op = frame_operator(G, norms, ao)
+        if inverted:
+            op = invert_frame_operator(op, G.lower, G.upper)
+        f = vec(H, {0: 1, 3: F(1, 2)})
+        op.apply(f).approx(20)
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
 
 
 class TestRieszCorrespondence:
