@@ -466,7 +466,8 @@ def run_task(doc: SpecDocument, index: int, *,
 
 def _run_eval(args) -> int:
     try:
-        text = open(args.spec_file, "r", encoding="utf-8").read()
+        with open(args.spec_file, "r", encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

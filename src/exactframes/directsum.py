@@ -23,6 +23,7 @@ from .errors import SpaceMismatchError
 from .realcore import (
     CReal,
     CRealSeq,
+    PrefixSums,
     certified_tail_cut,
     creal_from_rational,
     creal_mul,
@@ -77,7 +78,7 @@ class SumName:
     be certified.
     """
 
-    __slots__ = ("space", "_fn", "normsq", "_cache", "_lock")
+    __slots__ = ("space", "_fn", "normsq", "_cache", "_lock", "_normsq_sums")
 
     def __init__(self, space: SumSpace, fn: Callable[[int], VectorName],
                  normsq: CReal):
@@ -86,6 +87,7 @@ class SumName:
         self.normsq = normsq
         self._cache: dict[int, VectorName] = {}
         self._lock = threading.RLock()
+        self._normsq_sums = PrefixSums()
 
     def component(self, i: int) -> VectorName:
         with self._lock:
@@ -97,6 +99,15 @@ class SumName:
                         f"component {i} lives in the wrong space")
                 self._cache[i] = got
             return got
+
+    def normsq_partial(self, count: int) -> CReal:
+        """The sum of the squared norms of the first count components,
+        memoised on this name across precisions and callers."""
+        return self._normsq_sums.upto(count, self._component_normsq)
+
+    def _component_normsq(self, i: int) -> CReal:
+        c = self.component(i)
+        return inner_product(c, c)
 
     @classmethod
     def finite(cls, space: SumSpace,
@@ -162,17 +173,11 @@ def sum_norm(F: SumName) -> CReal:
     return creal_sqrt(F.normsq)
 
 
-def _component_normsq_partial(F: SumName, count: int) -> CReal:
-    return creal_sum([inner_product(F.component(i), F.component(i))
-                      for i in range(count)])
-
-
 def component_cut(F: SumName, theta: Fraction, p: int, limit: int) -> int:
     """Certified count with the component tail square <= 2*theta; partial
     square sums are monotone, so any larger count keeps the bound."""
     return certified_tail_cut(
-        F.normsq, lambda count: _component_normsq_partial(F, count),
-        theta, p, limit, what="sum norm datum")
+        F.normsq, F.normsq_partial, theta, p, limit, what="sum norm datum")
 
 
 def sum_inner_product(F: SumName, G: SumName, *,

@@ -17,6 +17,7 @@ them against direct linear algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -256,19 +257,23 @@ def _effective_prefix(s: SpeckerData, gate: NormOracle, budget: Fraction,
         count *= 2
 
 
-def _inverse_coefficients(s: SpeckerData, cut: int, upto: int) -> list[Fraction]:
-    """Coefficients of the reciprocal convolution symbol: b_0 = 1 and
-    b_m = - sum over l of a_l b_(m-l), using terms up to a_cut."""
-    nonzero = [(l, s.term(l - 1)) for l in range(1, cut + 1) if s.term(l - 1)]
-    bs = [Fraction(1)]
-    for m in range(1, upto + 1):
-        acc = Fraction(0)
-        for l, a in nonzero:
+def _extend_reciprocal(bs: list[int], shifts: list[tuple[int, int]],
+                       upto: int) -> None:
+    """Extend bs to index upto with the reciprocal convolution symbol in
+    scaled integers: B_m = b_m * 2**w, b_0 = 1 and b_m = - sum over l of
+    a_l b_(m-l), each kept term a_l = 2**-shift given as (l, shift).
+
+    The shifts are exact as long as 2**w bounds the denominator of every
+    b_m reached, e.g. w = upto * max(shift): a product of k terms has
+    denominator at most 2**(k * max(shift)), and k <= m.
+    """
+    for m in range(len(bs), upto + 1):
+        acc = 0
+        for l, shift in shifts:
             if l > m:
                 break
-            acc += a * bs[m - l]
+            acc += bs[m - l] >> shift
         bs.append(-acc)
-    return bs
 
 
 def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
@@ -305,11 +310,16 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
                                            1 << (n + max_terms_shift))
             if sigma == 0:
                 return c
-            margin = 1 - sigma
+            # every kept term is a power of two: b_m = B_m / 2**w exactly
+            shifts = [(l, e + 1) for l in range(1, cut + 1)
+                      if (e := s.exponent(l - 1)) is not None]
+            top = max(shift for _, shift in shifts)
+            w = cut * top
+            bs = [1 << w]
+            _extend_reciprocal(bs, shifts, cut)
             # geometric envelope over blocks of length cut:
             # sup |b| over block j <= sigma**j * sup over block 0
-            head = _inverse_coefficients(s, cut, cut)
-            h0 = max(abs(b) for b in head)
+            h0 = Fraction(max(abs(b) for b in bs), 1 << w)
             tail_target = pow2(-(n + 4)) / l1
             blocks = 1
             mass = cut * h0 * h0 * sigma * sigma / (1 - sigma * sigma)
@@ -317,13 +327,21 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
                 mass *= sigma * sigma
                 blocks += 1
             depth = blocks * cut
-            bs = _inverse_coefficients(s, cut, depth)
-            out: dict[int, Fraction] = {}
+            extra = (depth - cut) * top
+            bs = [b << extra for b in bs]
+            w += extra
+            _extend_reciprocal(bs, shifts, depth)
+            # one common denominator L * 2**w for the whole output
+            L = math.lcm(*(q.denominator for _, q in c.terms))
+            nonzero = [(m, b) for m, b in enumerate(bs) if b]
+            acc: dict[int, int] = {}
             for j, q in c.terms:
-                for m, b in enumerate(bs):
-                    if b:
-                        out[j + m] = out.get(j + m, Fraction(0)) + b * q
-            return FiniteCombo(space, out)
+                nj = q.numerator * (L // q.denominator)
+                for m, b in nonzero:
+                    acc[j + m] = acc.get(j + m, 0) + b * nj
+            den = L << w
+            return FiniteCombo(space, {k: Fraction(v, den)
+                                       for k, v in acc.items()})
 
         return VectorName(space, fn)
 

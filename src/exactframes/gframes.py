@@ -556,12 +556,8 @@ def _build_synthesis(G: GFrameName, norms: NormsOracle,
 
         def fn(n: int) -> FiniteCombo:
             theta = pow2(-(2 * n + 4)) / (2 * b_up)
-
-            def partial(count: int) -> CReal:
-                return creal_sum([inner_product(F.component(i), F.component(i))
-                                  for i in range(count)])
-
-            count = certified_tail_cut(F.normsq, partial, theta, prec_for(theta),
+            count = certified_tail_cut(F.normsq, F.normsq_partial, theta,
+                                       prec_for(theta),
                                        1 << (n + max_terms_shift),
                                        what="input norm datum")
             pad = count.bit_length() + 1

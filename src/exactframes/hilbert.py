@@ -105,11 +105,19 @@ class FiniteCombo:
 
     def __init__(self, space: SpaceDescriptor,
                  terms: Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        # the cheap tests (plain dict, int index in range, Fraction value)
+        # decide almost every call; anything else takes the general checks
+        if type(terms) is dict or isinstance(terms, Mapping):
+            items = terms.items()
+        else:
+            items = terms
+        dim = space.dimension
         cleaned: dict[int, Fraction] = {}
         for k, q in items:
-            space.check_index(k)
-            q = Fraction(q)
+            if not (type(k) is int and 0 <= k and (dim is None or k < dim)):
+                space.check_index(k)
+            if type(q) is not Fraction:
+                q = Fraction(q)
             if q:
                 if k in cleaned:
                     raise ValueError(f"duplicate basis index {k}")

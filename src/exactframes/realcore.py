@@ -272,12 +272,15 @@ class CRealSeq:
     def at(self, i: int) -> CReal:
         if i < 0:
             raise ValueError("index must be a natural number")
-        with self._lock:
-            got = self._cache.get(i)
-            if got is None:
-                got = self._fn(i)
-                self._cache[i] = got
-            return got
+        got = self._cache.get(i)
+        if got is None:
+            # computed with no lock held, so a term may read earlier terms
+            # of its own sequence; when two threads race, the first stored
+            # value wins and both return it
+            fresh = self._fn(i)
+            with self._lock:
+                got = self._cache.setdefault(i, fresh)
+        return got
 
     @classmethod
     def from_values(cls, values: Sequence[Fraction],
@@ -287,11 +290,53 @@ class CRealSeq:
         return cls(lambda i: consts[i] if i < len(consts) else rest)
 
 
+class PrefixSums:
+    """Memoised partial sums of one sequence of CReals.
+
+    upto(count, term) is creal_sum of term(0), ..., term(count - 1), one
+    shared name per count.  Each term is computed once and kept, so a
+    longer sum reuses the terms of a shorter one.  While every term so
+    far is exact the sum is an exact rational, as creal_sum makes it.
+
+    The term function is passed on every call rather than stored, so an
+    owner can pass its own bound method without making a reference
+    cycle; every call must pass the same sequence.  Terms are computed
+    with no lock held, so a term may read earlier partial sums of the
+    same sequence; when two threads race, the first stored value wins.
+    """
+
+    __slots__ = ("_terms", "_sums", "_lock")
+
+    def __init__(self):
+        self._terms: list[CReal] = []
+        self._sums: dict[int, CReal] = {}
+        self._lock = threading.Lock()
+
+    def upto(self, count: int, term: Callable[[int], CReal]) -> CReal:
+        terms = self._terms
+        while len(terms) < count:
+            i = len(terms)
+            fresh = term(i)
+            with self._lock:
+                if len(terms) == i:
+                    terms.append(fresh)
+        got = self._sums.get(count)
+        if got is None:
+            fresh_sum = creal_sum(terms[:count])
+            with self._lock:
+                got = self._sums.setdefault(count, fresh_sum)
+        return got
+
+
 def square_partial_sums(xs: CRealSeq) -> Callable[[int], CReal]:
-    """count -> the sum of the squares of the first count terms of xs,
-    each square memoised per index."""
-    squares = CRealSeq(lambda k: creal_mul(xs.at(k), xs.at(k)))
-    return lambda count: creal_sum([squares.at(k) for k in range(count)])
+    """count -> the sum of the squares of the first count terms of xs."""
+    sums = PrefixSums()
+
+    def square(k: int) -> CReal:
+        x = xs.at(k)
+        return creal_mul(x, x)
+
+    return lambda count: sums.upto(count, square)
 
 
 def creal_limit(xs: CRealSeq, modulus: Callable[[int], int]) -> CReal:

@@ -1,5 +1,7 @@
+import gc
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,13 @@ class TestExitCodes:
     def test_parse_error(self, tmp_path):
         text = "version 1\nspace H infinite\nvector v H 0:1.5\n"
         assert run_eval(tmp_path, text) == EXIT_PARSE
+
+    def test_document_file_is_closed(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert run_eval(tmp_path, DEMO, ["--task", "0"]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_negative_precision_override_is_a_parse_error(self, tmp_path):
         assert run_eval(tmp_path, DEMO, extra=["--precision", "-3"]) == EXIT_PARSE

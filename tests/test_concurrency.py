@@ -3,9 +3,11 @@ threads must agree with serial evaluation exactly."""
 
 import sys
 import threading
+import time
 from fractions import Fraction
 
 from exactframes import (
+    CReal,
     basis_vector,
     creal_sqrt,
     creal_from_rational,
@@ -16,6 +18,8 @@ from exactframes import (
     riesz_representer,
     vec_norm,
 )
+
+from exactframes.realcore import PrefixSums
 
 from conftest import vec
 
@@ -78,3 +82,23 @@ def test_shared_inverse_keeps_one_iterate_per_precision(H):
     # a lost update would hand different threads different iterates
     assert all(x is got[0] for x in got)
     assert inv.apply(f).approx(20) is got[0]
+
+
+def test_shared_prefix_sums_keep_terms_in_order():
+    sums = PrefixSums()
+
+    def term(i):
+        time.sleep(0)       # let another thread in while the term is made
+        # lazy, so each count's sum is a stored name rather than a value
+        return CReal(lambda n, i=i: F(i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = hammer(lambda: [sums.upto(c, term) for c in range(1, 40)])
+    finally:
+        sys.setswitchinterval(interval)
+    # a lost update would misplace a term or hand threads different sums
+    for c, shared in enumerate(got[0], start=1):
+        assert all(run[c - 1] is shared for run in got)
+        assert shared.approx(10) == c * (c - 1) // 2

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactframes import (
     ColumnLowerU,
+    FiniteCombo,
     NormOracle,
     PrecisionExhaustionError,
+    SpaceDescriptor,
     SpeckerData,
     ToeplitzLowerU,
     ToeplitzUpperU,
@@ -25,7 +28,8 @@ from exactframes import (
     vec_lincomb,
     vec_norm,
 )
-from exactframes.realcore import pow2
+from exactframes.gallery import _effective_prefix
+from exactframes.realcore import pow2, quantize_precision
 
 from conftest import combo, vec
 
@@ -203,6 +207,68 @@ class TestGatedDualTau:
         s, _ = truncated
         with pytest.raises(PrecisionExhaustionError):
             gated_dual_tau(H, ToeplitzUpperU(s), NormOracle.exact(F(1, 256)))
+
+
+def _fraction_reciprocal(s, cut, upto):
+    """The reciprocal convolution coefficients as a plain Fraction
+    recurrence: b_0 = 1, b_m = - sum over l <= cut of a_l b_(m-l)."""
+    nonzero = [(l, s.term(l - 1)) for l in range(1, cut + 1) if s.term(l - 1)]
+    bs = [F(1)]
+    for m in range(1, upto + 1):
+        acc = F(0)
+        for l, a in nonzero:
+            if l > m:
+                break
+            acc += a * bs[m - l]
+        bs.append(-acc)
+    return bs
+
+
+def _fraction_dual(space, s, gate, c, n, max_terms_shift=16):
+    """The dual's program on an exact combination, in Fraction arithmetic
+    throughout: the reference the scaled-integer expansion must match."""
+    if not c.terms:
+        return FiniteCombo(space, {})
+    l1 = sum(abs(q) for _, q in c.terms)
+    l2_up = F(c.norm_upper())
+    budget = pow2(-(n + 4)) / max(F(1), l2_up)
+    cut, sigma = _effective_prefix(s, gate, budget, 1 << (n + max_terms_shift))
+    if sigma == 0:
+        return c
+    h0 = max(abs(b) for b in _fraction_reciprocal(s, cut, cut))
+    tail_target = pow2(-(n + 4)) / l1
+    blocks = 1
+    mass = cut * h0 * h0 * sigma * sigma / (1 - sigma * sigma)
+    while mass > tail_target * tail_target:
+        mass *= sigma * sigma
+        blocks += 1
+    bs = _fraction_reciprocal(s, cut, blocks * cut)
+    out = {}
+    for j, q in c.terms:
+        for m, b in enumerate(bs):
+            if b:
+                out[j + m] = out.get(j + m, F(0)) + b * q
+    return FiniteCombo(space, out)
+
+
+_rationals = st.builds(F, st.integers(-64, 64), st.integers(1, 48))
+
+
+class TestDualExpansionExact:
+    @settings(max_examples=60, deadline=None)
+    @given(exponents=st.lists(st.integers(1, 12), min_size=1, max_size=4,
+                              unique=True),
+           terms=st.dictionaries(st.integers(0, 12), _rationals, min_size=1,
+                                 max_size=4),
+           n=st.integers(8, 96))
+    def test_matches_fraction_recurrence(self, exponents, terms, n):
+        H = SpaceDescriptor()
+        s = SpeckerData.from_prefix(exponents)
+        gate = NormOracle.exact(s.sum_of_squares(len(exponents)))
+        v = vec(H, terms)
+        got = gated_dual_tau(H, ToeplitzUpperU(s), gate).op(0).apply(v).approx(n)
+        want = _fraction_dual(H, s, gate, v.exact_combo, quantize_precision(n))
+        assert got.terms == want.terms
 
 
 class TestRemarkFrameOperator:

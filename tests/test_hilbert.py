@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -54,6 +55,39 @@ class TestCombos:
         K = SpaceDescriptor(dimension=2)
         with pytest.raises(IndexError):
             FiniteCombo(K, {5: F(1)})
+
+    @pytest.mark.parametrize("make", [
+        dict,
+        MappingProxyType,
+        lambda d: list(d.items()),
+        lambda d: iter(d.items()),
+    ], ids=["dict", "mapping", "pairs", "iterator"])
+    def test_accepted_containers(self, H, make):
+        c = FiniteCombo(H, make({4: F(1, 2), 0: 3, 2: "-5/6", 7: 0}))
+        assert c.terms == ((0, F(3)), (2, F(-5, 6)), (4, F(1, 2)))
+        assert all(type(q) is Fraction for _, q in c.terms)
+
+    @pytest.mark.parametrize("dimension,index", [(None, -1), (3, 3), (3, -2)])
+    def test_index_out_of_range(self, dimension, index):
+        K = SpaceDescriptor(dimension=dimension)
+        for terms in ({index: F(1)}, MappingProxyType({index: F(1)}),
+                      [(index, F(1))]):
+            with pytest.raises(IndexError):
+                FiniteCombo(K, terms)
+
+    def test_zero_coefficient_still_index_checked(self):
+        with pytest.raises(IndexError):
+            FiniteCombo(SpaceDescriptor(dimension=2), {2: 0})
+
+    def test_duplicate_index_after_zero_is_kept_once(self, H):
+        c = FiniteCombo(H, [(1, 0), (1, F(2))])
+        assert c.terms == ((1, F(2)),)
+        with pytest.raises(ValueError):
+            FiniteCombo(H, [(1, F(2)), (1, "2/3")])
+
+    def test_bad_coefficient_rejected(self, H):
+        with pytest.raises(ValueError):
+            FiniteCombo(H, {0: "1.5.2"})
 
     def test_exact_inner_and_norm(self, H):
         a = combo(H, {0: F(3, 5), 2: F(4, 5)})

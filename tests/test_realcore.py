@@ -1,7 +1,9 @@
 import random
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactframes import (
     Comparison,
@@ -28,6 +30,8 @@ from exactframes import (
     unpairing,
 )
 from exactframes.realcore import (
+    ONE,
+    PrefixSums,
     bits_for,
     ceil_int,
     certified_tail_cut,
@@ -310,3 +314,65 @@ class TestCertifiedTailCut:
         partial = lambda count: creal_from_rational(1 - pow2(-count))
         cut = certified_tail_cut(total, partial, pow2(-10), 12, 1 << 20)
         assert pow2(-cut) <= 2 * pow2(-10)
+
+
+def _finishes(fn, timeout=5):
+    """Run fn in a thread; True when it returned within the timeout."""
+    done = []
+    worker = threading.Thread(target=lambda: done.append(fn()), daemon=True)
+    worker.start()
+    worker.join(timeout=timeout)
+    return not worker.is_alive() and len(done) == 1
+
+
+class TestCRealSeq:
+    def test_term_may_read_earlier_terms(self):
+        s = CRealSeq(lambda i: ONE if i == 0 else creal_add(s.at(i - 1), ONE))
+        assert _finishes(lambda: s.at(1))
+        assert s.at(3).approx(10) == 4
+
+
+_term_specs = st.lists(st.tuples(st.fractions(0, 8, max_denominator=32),
+                                 st.booleans()), min_size=1, max_size=12)
+
+
+class TestPrefixSums:
+    @staticmethod
+    def _terms(specs):
+        """Exact terms q, or lazy terms sqrt(q) where the flag is set."""
+        return [creal_sqrt(creal_from_rational(q)) if lazy
+                else creal_from_rational(q) for q, lazy in specs]
+
+    @settings(max_examples=50, deadline=None)
+    @given(specs=_term_specs)
+    def test_equals_creal_sum_and_computes_each_term_once(self, specs):
+        terms = self._terms(specs)
+        calls = [0] * len(terms)
+
+        def term(i):
+            calls[i] += 1
+            return terms[i]
+
+        sums = PrefixSums()
+        for p in (0, 9, 40, 3, 70):
+            for count in range(len(terms) + 1):
+                got = sums.upto(count, term)
+                assert got.approx(p) == creal_sum(terms[:count]).approx(p)
+        assert calls == [1] * len(terms)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["exact", "lazy"])
+    def test_exact_prefix_stays_exact(self, lazy):
+        specs = [(F(1, 3), False), (F(2), lazy), (F(1, 4), False)]
+        sums = PrefixSums()
+        term = lambda i: self._terms(specs)[i]
+        assert sums.upto(1, term).exact_value == F(1, 3)
+        assert (sums.upto(3, term).exact_value is None) == lazy
+
+    def test_term_may_read_earlier_partial_sums(self):
+        sums = PrefixSums()
+
+        def term(i):
+            return ONE if i == 0 else sums.upto(i, term)
+
+        assert _finishes(lambda: sums.upto(4, term))
+        assert sums.upto(4, term).exact_value == 8
