@@ -57,7 +57,7 @@ from .errors import (
     SpecParseError,
     SpecResolveError,
 )
-from .realcore import CReal, SpeckerData, format_rational, parse_rational
+from .realcore import SpeckerData, format_rational, parse_rational
 from .hilbert import (
     FiniteCombo,
     SpaceDescriptor,
@@ -365,9 +365,7 @@ def _gallery_gate(entry) -> NormOracle:
     return gate
 
 
-def _value_lines(value) -> list[str]:
-    if isinstance(value, CReal):
-        raise AssertionError("scalar values are rendered by the caller")
+def _value_lines(value: FiniteCombo) -> list[str]:
     return [f"value = {value.to_text()}"]
 
 
@@ -523,8 +521,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_suite = sub.add_parser("suite", help="run a named check battery")
     p_suite.add_argument("name", choices=sorted(SUITES))
-    p_suite.add_argument("--max-precision", type=int,
-                         default=DEFAULT_MAX_PRECISION)
 
     args = parser.parse_args(argv)
     try:

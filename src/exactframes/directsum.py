@@ -15,7 +15,6 @@ pairing bijection.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -24,6 +23,7 @@ from .realcore import (
     CReal,
     CRealSeq,
     PrefixSums,
+    _Memo,
     certified_tail_cut,
     creal_from_rational,
     creal_mul,
@@ -48,19 +48,13 @@ class SumSpace:
 
     def __init__(self, components: Callable[[int], SpaceDescriptor]):
         self._components = components
-        self._cache: dict[int, SpaceDescriptor] = {}
-        self._lock = threading.Lock()
+        self._cache = _Memo()
         self.descriptor = SpaceDescriptor(dimension=None)
 
     def component(self, i: int) -> SpaceDescriptor:
         if i < 0:
             raise ValueError("component index must be a natural number")
-        with self._lock:
-            got = self._cache.get(i)
-            if got is None:
-                got = self._components(i)
-                self._cache[i] = got
-            return got
+        return self._cache.lookup(i, self._components, i)
 
     def basis(self, i: int, j: int) -> "SumName":
         return sum_embed(self, i, basis_vector(self.component(i), j))
@@ -78,27 +72,24 @@ class SumName:
     be certified.
     """
 
-    __slots__ = ("space", "_fn", "normsq", "_cache", "_lock", "_normsq_sums")
+    __slots__ = ("space", "_fn", "normsq", "_cache", "_normsq_sums")
 
     def __init__(self, space: SumSpace, fn: Callable[[int], VectorName],
                  normsq: CReal):
         self.space = space
         self._fn = fn
         self.normsq = normsq
-        self._cache: dict[int, VectorName] = {}
-        self._lock = threading.RLock()
+        self._cache = _Memo()
         self._normsq_sums = PrefixSums()
 
     def component(self, i: int) -> VectorName:
-        with self._lock:
-            got = self._cache.get(i)
-            if got is None:
-                got = self._fn(i)
-                if not same_space(got.space, self.space.component(i)):
-                    raise SpaceMismatchError(
-                        f"component {i} lives in the wrong space")
-                self._cache[i] = got
-            return got
+        return self._cache.lookup(i, self._checked_component, i)
+
+    def _checked_component(self, i: int) -> VectorName:
+        got = self._fn(i)
+        if not same_space(got.space, self.space.component(i)):
+            raise SpaceMismatchError(f"component {i} lives in the wrong space")
+        return got
 
     def normsq_partial(self, count: int) -> CReal:
         """The sum of the squared norms of the first count components,
@@ -138,24 +129,17 @@ class SumName:
 class FourierName:
     """Doubly indexed basis coordinates plus the total squared norm."""
 
-    __slots__ = ("space", "_fn", "normsq", "_cache", "_lock")
+    __slots__ = ("space", "_fn", "normsq", "_cache")
 
     def __init__(self, space: SumSpace, fn: Callable[[int, int], CReal],
                  normsq: CReal):
         self.space = space
         self._fn = fn
         self.normsq = normsq
-        self._cache: dict[tuple[int, int], CReal] = {}
-        self._lock = threading.RLock()
+        self._cache = _Memo()
 
     def coeff(self, i: int, j: int) -> CReal:
-        key = (i, j)
-        with self._lock:
-            got = self._cache.get(key)
-            if got is None:
-                got = self._fn(i, j)
-                self._cache[key] = got
-            return got
+        return self._cache.lookup((i, j), self._fn, i, j)
 
 
 def sum_embed(space: SumSpace, i: int, f: VectorName) -> SumName:

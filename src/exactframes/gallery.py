@@ -321,10 +321,12 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
             # sup |b| over block j <= sigma**j * sup over block 0
             h0 = Fraction(max(abs(b) for b in bs), 1 << w)
             tail_target = pow2(-(n + 4)) / l1
+            sigma2 = sigma * sigma
+            target2 = tail_target * tail_target
             blocks = 1
-            mass = cut * h0 * h0 * sigma * sigma / (1 - sigma * sigma)
-            while mass > tail_target * tail_target:
-                mass *= sigma * sigma
+            mass = cut * h0 * h0 * sigma2 / (1 - sigma2)
+            while mass > target2:
+                mass *= sigma2
                 blocks += 1
             depth = blocks * cut
             extra = (depth - cut) * top

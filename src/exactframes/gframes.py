@@ -26,6 +26,7 @@ from .errors import (
 from .realcore import (
     CReal,
     CRealSeq,
+    _Memo,
     bits_for,
     certified_tail_cut,
     creal_add,
@@ -103,24 +104,14 @@ def operator_from_columns(dom: SpaceDescriptor, cod: SpaceDescriptor,
     """The operator sending basis vector k to column(k); sound whenever
     bound really dominates the operator norm."""
     bound = Fraction(bound)
-    cache: dict[int, Union[FiniteCombo, VectorName]] = {}
-    lock = threading.Lock()
-
-    def col(k: int):
-        with lock:
-            got = cache.get(k)
-            if got is None:
-                got = column(k)
-                cache[k] = got
-            return got
-
+    cols = _Memo()
     s = bits_for(bound)
 
     def action(c: FiniteCombo, n: int) -> FiniteCombo:
         exact = FiniteCombo(cod, {})
         pairs = []
         for k, q in c.terms:
-            ck = col(k)
+            ck = cols.lookup(k, column, k)
             if isinstance(ck, FiniteCombo):
                 exact = exact.add(ck.scale(q))
             else:
@@ -131,8 +122,9 @@ def operator_from_columns(dom: SpaceDescriptor, cod: SpaceDescriptor,
 
     def program(f: VectorName) -> VectorName:
         c0 = f.exact_combo
-        if c0 is not None and all(isinstance(col(k), FiniteCombo)
-                                  for k in c0.support):
+        if c0 is not None and all(
+                isinstance(cols.lookup(k, column, k), FiniteCombo)
+                for k in c0.support):
             return VectorName.from_combo(action(c0, 0))
 
         def fn(n: int) -> FiniteCombo:
@@ -170,6 +162,9 @@ def operator_compose(outer: OperatorName, inner: OperatorName,
                         lambda f: outer.apply(inner.apply(f)))
 
 
+_SUM_SPACE = ("sum space",)
+
+
 class GFrameName:
     """A sequence of operator names out of a common domain together with
     rational frame bounds.
@@ -189,40 +184,33 @@ class GFrameName:
         self.lower = lower
         self.upper = upper
         self._ops = ops
-        self._cache: dict[int, OperatorName] = {}
-        self._ss = sum_space
-        self._derived: dict = {}
-        self._lock = threading.RLock()
+        self._cache = _Memo()
+        self._derived = _Memo()
+        if sum_space is not None:
+            self._derived.lookup(_SUM_SPACE, lambda: sum_space)
 
     def op(self, i: int) -> OperatorName:
         if i < 0:
             raise ValueError("index must be a natural number")
-        with self._lock:
-            got = self._cache.get(i)
-            if got is None:
-                got = self._ops(i)
-                if not same_space(got.dom, self.dom):
-                    raise SpaceMismatchError(f"operator {i} has the wrong domain")
-                self._cache[i] = got
-            return got
+        return self._cache.lookup(i, self._checked_op, i)
+
+    def _checked_op(self, i: int) -> OperatorName:
+        got = self._ops(i)
+        if not same_space(got.dom, self.dom):
+            raise SpaceMismatchError(f"operator {i} has the wrong domain")
+        return got
 
     def sum_space(self) -> SumSpace:
-        with self._lock:
-            if self._ss is None:
-                self._ss = SumSpace(lambda i: self.op(i).cod)
-            return self._ss
+        return self._derived.lookup(
+            _SUM_SPACE, lambda: SumSpace(lambda i: self.op(i).cod))
 
     def derived(self, key: tuple, builder: Callable[[], object]) -> object:
         """Cache for objects derived from this frame and a fixed set of
         oracles (keyed by their identities).  Sharing the derived names
         lets their memoised evaluations be reused across the operations
-        that would otherwise rebuild them."""
-        with self._lock:
-            hit = self._derived.get(key)
-            if hit is None:
-                hit = builder()
-                self._derived[key] = hit
-            return hit
+        that would otherwise rebuild them.  A builder may call derived
+        itself; when two threads race, the first built object wins."""
+        return self._derived.lookup(key, builder)
 
 
 class FrameName:
@@ -243,27 +231,14 @@ class FrameName:
         self.upper = upper
         self._vecs = vecs
         self._norms = vecnorms
-        self._vc: dict[tuple[int, int], VectorName] = {}
-        self._nc: dict[tuple[int, int], CReal] = {}
-        self._lock = threading.RLock()
+        self._vc = _Memo()
+        self._nc = _Memo()
 
     def vec(self, i: int, j: int) -> VectorName:
-        key = (i, j)
-        with self._lock:
-            got = self._vc.get(key)
-            if got is None:
-                got = self._vecs(i, j)
-                self._vc[key] = got
-            return got
+        return self._vc.lookup((i, j), self._vecs, i, j)
 
     def vecnorm(self, i: int, j: int) -> CReal:
-        key = (i, j)
-        with self._lock:
-            got = self._nc.get(key)
-            if got is None:
-                got = self._norms(i, j)
-                self._nc[key] = got
-            return got
+        return self._nc.lookup((i, j), self._norms, i, j)
 
 
 class OrthonormalRows:
@@ -298,16 +273,10 @@ class FrameRows:
         self.lower = lower
         self.upper = upper
         self._rows = rows
-        self._cache: dict[int, RowFrame] = {}
-        self._lock = threading.Lock()
+        self._cache = _Memo()
 
     def rows(self, i: int) -> RowFrame:
-        with self._lock:
-            got = self._cache.get(i)
-            if got is None:
-                got = self._rows(i)
-                self._cache[i] = got
-            return got
+        return self._cache.lookup(i, self._rows, i)
 
 
 InnerSystem = Union[OrthonormalRows, FrameRows]

@@ -45,7 +45,6 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -259,28 +258,48 @@ def creal_sqrt(x: CReal) -> CReal:
     return CReal(fn)
 
 
-class CRealSeq:
-    """A sequence of CReals with per-index memoisation."""
+class _Memo:
+    """A table of values built once per key; the first value stored wins.
 
-    __slots__ = ("_fn", "_cache", "_lock")
+    lookup(key, build, *args) returns the value stored under key, or
+    stores and returns build(*args).  A hit takes no lock.  A missing
+    value is built with no lock held, so a builder may read other
+    entries of its own table; it is then stored with setdefault under
+    the memo's lock, so when two threads race, the first stored value
+    wins and every caller returns that one object.  The build function
+    is passed on every call rather than stored, so an owner can pass its
+    own bound method without making a reference cycle.
+    """
+
+    __slots__ = ("_table", "_lock")
+
+    def __init__(self):
+        self._table: dict = {}
+        self._lock = threading.Lock()
+
+    def lookup(self, key, build: Callable, *args):
+        got = self._table.get(key)
+        if got is None:
+            fresh = build(*args)
+            with self._lock:
+                got = self._table.setdefault(key, fresh)
+        return got
+
+
+class CRealSeq:
+    """A sequence of CReals with per-index memoisation; a term may read
+    earlier terms of its own sequence."""
+
+    __slots__ = ("_fn", "_terms")
 
     def __init__(self, fn: Callable[[int], CReal]):
         self._fn = fn
-        self._cache: dict[int, CReal] = {}
-        self._lock = threading.Lock()
+        self._terms = _Memo()
 
     def at(self, i: int) -> CReal:
         if i < 0:
             raise ValueError("index must be a natural number")
-        got = self._cache.get(i)
-        if got is None:
-            # computed with no lock held, so a term may read earlier terms
-            # of its own sequence; when two threads race, the first stored
-            # value wins and both return it
-            fresh = self._fn(i)
-            with self._lock:
-                got = self._cache.setdefault(i, fresh)
-        return got
+        return self._terms.lookup(i, self._fn, i)
 
     @classmethod
     def from_values(cls, values: Sequence[Fraction],
@@ -391,7 +410,7 @@ def creal_compare(x: CReal, y: CReal, n: int) -> Comparison:
 
 def certified_tail_cut(total: CReal, partial_at: Callable[[int], CReal],
                        theta: Fraction, p: int, limit: int,
-                       what: str = "tail certificate", start: int = 4) -> int:
+                       what: str = "tail certificate") -> int:
     """Smallest doubling count at which total minus the partial is
     certified <= 2*theta (comparison at precision p; a tie verdict
     counts, its slack being at most 2**-p <= theta by the caller's
@@ -404,7 +423,7 @@ def certified_tail_cut(total: CReal, partial_at: Callable[[int], CReal],
     """
     pos = creal_from_rational(theta)
     neg = creal_from_rational(-theta)
-    count = start
+    count = 4
     while True:
         t = creal_sub(total, partial_at(count))
         if creal_compare(t, pos, p) is not Comparison.GREATER_CERTAIN:

@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -25,3 +26,12 @@ def random_combo(rng: random.Random, space, max_terms=8, den=16, indices=24):
         terms[rng.randrange(indices)] = Fraction(rng.randint(-den, den),
                                                  rng.randint(1, den))
     return combo(space, terms)
+
+
+def finishes(fn, timeout=5):
+    """Run fn in a daemon thread; True when it returned within the timeout."""
+    done = []
+    worker = threading.Thread(target=lambda: done.append(fn()), daemon=True)
+    worker.start()
+    worker.join(timeout=timeout)
+    return not worker.is_alive() and len(done) == 1

@@ -8,18 +8,22 @@ from fractions import Fraction
 
 from exactframes import (
     CReal,
+    FrameName,
+    GFrameName,
+    SumName,
     basis_vector,
     creal_sqrt,
     creal_from_rational,
     diagonal_gframe,
     frame_operator,
+    identity_operator,
     invert_frame_operator,
     riesz_functional,
     riesz_representer,
     vec_norm,
 )
 
-from exactframes.realcore import PrefixSums
+from exactframes.realcore import ONE, PrefixSums
 
 from conftest import vec
 
@@ -102,3 +106,31 @@ def test_shared_prefix_sums_keep_terms_in_order():
     for c, shared in enumerate(got[0], start=1):
         assert all(run[c - 1] is shared for run in got)
         assert shared.approx(10) == c * (c - 1) // 2
+
+
+def test_per_key_tables_hand_every_thread_one_object(H):
+    def slow(make):
+        def build(*args):
+            time.sleep(0)       # let another thread in while it builds
+            return make(*args)
+        return build
+
+    G = GFrameName(H, slow(lambda i: identity_operator(H)), F(1), F(1))
+    S = SumName(G.sum_space(), slow(lambda i: basis_vector(H, i)), ONE)
+    frame = FrameName(H, slow(lambda i, j: basis_vector(H, i)),
+                      slow(lambda i, j: ONE), F(1), F(1))
+    key = ("probe",)
+
+    def lookups():
+        return (G.op(3), G.derived(key, slow(object)), S.component(2),
+                frame.vec(1, 0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = hammer(lookups)
+    finally:
+        sys.setswitchinterval(interval)
+    # a lost update would hand different threads different objects
+    for k, shared in enumerate(got[0]):
+        assert all(run[k] is shared for run in got)

@@ -19,7 +19,7 @@ from exactframes import (
 )
 from exactframes.realcore import pairing, pow2
 
-from conftest import combo, random_combo, vec
+from conftest import combo, finishes, random_combo, vec
 
 F = Fraction
 
@@ -32,6 +32,13 @@ def ss(H):
 def exact_norms(comps):
     return CRealSeq(lambda i: creal_sqrt(creal_from_rational(
         comps[i].norm_squared() if i in comps else F(0))))
+
+
+class TestMemoisedComponents:
+    def test_component_may_read_earlier_components(self, H):
+        ss = SumSpace(lambda i: H if i == 0 else ss.component(i - 1))
+        assert finishes(lambda: ss.component(1))
+        assert ss.component(3) is H
 
 
 class TestEmbedding:

@@ -56,7 +56,7 @@ from exactframes import (
 )
 from exactframes.realcore import creal_mul, creal_scale, pow2
 
-from conftest import combo, random_combo, vec
+from conftest import combo, finishes, random_combo, vec
 
 F = Fraction
 
@@ -126,6 +126,17 @@ class TestOperatorNames:
         once = calls[0]
         second.apply(f).approx(20)
         assert once > 0 and calls[0] == once
+
+    def test_column_may_apply_its_own_operator(self, H):
+        # column k is half the image of e_(k-1), so column k = 2^-k e_0
+        def column(k):
+            if k == 0:
+                return FiniteCombo(H, {0: F(1)})
+            return T.apply(basis_vector(H, k - 1)).exact_combo.scale(F(1, 2))
+
+        T = operator_from_columns(H, H, column, F(2))
+        assert finishes(lambda: T.apply(basis_vector(H, 1)))
+        assert T.apply(basis_vector(H, 3)).exact_combo == combo(H, {0: F(1, 8)})
 
     @pytest.mark.parametrize("inverted", [False, True],
                              ids=["frame-operator", "inverse"])
@@ -225,6 +236,14 @@ class TestGFrameFromCorresponding:
     def _corr(self, G, norms):
         return corresponding_frame(G, OrthonormalRows(lambda i: G.op(i).cod),
                                    norms)
+
+    def test_row_may_read_earlier_rows(self, H):
+        row0 = RowFrame(lambda j: basis_vector(H, j), None, F(1), F(1),
+                        identity_operator(H))
+        sys = FrameRows(lambda i: row0 if i == 0 else sys.rows(i - 1),
+                        F(1), F(1))
+        assert finishes(lambda: sys.rows(1))
+        assert sys.rows(3) is row0
 
     def test_parseval_rebuild(self, H, parseval):
         G, norms, ao = parseval

@@ -1,5 +1,4 @@
 import random
-import threading
 from fractions import Fraction
 
 import pytest
@@ -39,6 +38,8 @@ from exactframes.realcore import (
     pow2,
     prec_for,
 )
+
+from conftest import finishes
 
 F = Fraction
 
@@ -316,19 +317,10 @@ class TestCertifiedTailCut:
         assert pow2(-cut) <= 2 * pow2(-10)
 
 
-def _finishes(fn, timeout=5):
-    """Run fn in a thread; True when it returned within the timeout."""
-    done = []
-    worker = threading.Thread(target=lambda: done.append(fn()), daemon=True)
-    worker.start()
-    worker.join(timeout=timeout)
-    return not worker.is_alive() and len(done) == 1
-
-
 class TestCRealSeq:
     def test_term_may_read_earlier_terms(self):
         s = CRealSeq(lambda i: ONE if i == 0 else creal_add(s.at(i - 1), ONE))
-        assert _finishes(lambda: s.at(1))
+        assert finishes(lambda: s.at(1))
         assert s.at(3).approx(10) == 4
 
 
@@ -374,5 +366,5 @@ class TestPrefixSums:
         def term(i):
             return ONE if i == 0 else sums.upto(i, term)
 
-        assert _finishes(lambda: sums.upto(4, term))
+        assert finishes(lambda: sums.upto(4, term))
         assert sums.upto(4, term).exact_value == 8
