@@ -57,7 +57,12 @@ from .errors import (
     SpecParseError,
     SpecResolveError,
 )
-from .realcore import SpeckerData, format_rational, parse_rational
+from .realcore import (
+    SpeckerData,
+    creal_from_rational,
+    format_rational,
+    parse_rational,
+)
 from .hilbert import (
     FiniteCombo,
     SpaceDescriptor,
@@ -214,11 +219,7 @@ def _declare_vector(reg: Registry, rest: list[str]) -> None:
     name, space_name, *terms = rest
     tokens = _combo_tokens(terms)          # literal validation before lookup
     space = reg.space(space_name)
-    try:
-        combo = FiniteCombo(space, tokens)
-    except (IndexError, ValueError) as exc:
-        raise SpecParseError(f"vector {name!r}: {exc}") from None
-    reg.vectors[name] = VectorName.from_combo(combo)
+    reg.vectors[name] = VectorName.from_combo(FiniteCombo(space, tokens))
 
 
 def _declare_sumspace(reg: Registry, rest: list[str]) -> None:
@@ -253,7 +254,6 @@ def _declare_sumvec(reg: Registry, rest: list[str]) -> None:
         comps[_nat(idx, "component index")] = v.exact_combo
     made = SumName.finite(ss, comps)
     if normsq is not None:
-        from .realcore import creal_from_rational
         made = SumName(ss, made.component, creal_from_rational(normsq))
     reg.sumvecs[name] = made
 
@@ -270,8 +270,7 @@ def _declare_gframe(reg: Registry, rest: list[str]) -> None:
             raise SpecParseError("block needs: <width>")
         reg.gframes[name] = block_gframe(space, _nat(args[0], "block width"))
     elif kind == "diagonal":
-        overrides = {i: q for i, q in _combo_tokens(args)}
-        reg.gframes[name] = diagonal_gframe(space, overrides)[:3]
+        reg.gframes[name] = diagonal_gframe(space, _combo_tokens(args))[:3]
     elif kind == "atoms":
         if len(args) < 3:
             raise SpecParseError("atoms needs: <A> <B> <tail-offset> | ...")
@@ -293,11 +292,8 @@ def _declare_gframe(reg: Registry, rest: list[str]) -> None:
                 current.append(tok)
         if not atoms_part:
             raise SpecParseError("atoms needs at least one '|' atom")
-        try:
-            reg.gframes[name] = atoms_gframe(space, prefix, tail_offset,
-                                             lower, upper)[:3]
-        except ValueError as exc:
-            raise SpecParseError(f"gframe {name!r}: {exc}") from None
+        reg.gframes[name] = atoms_gframe(space, prefix, tail_offset,
+                                         lower, upper)[:3]
     else:
         raise SpecParseError(f"unknown gframe kind {kind!r}")
 
@@ -310,6 +306,8 @@ def _declare_gallery(reg: Registry, rest: list[str]) -> None:
     if kind not in _GALLERY_KINDS:
         raise SpecParseError(f"unknown gallery kind {kind!r}")
     space = reg.space(space_name)
+    if space.dimension is not None:
+        raise SpecParseError(f"gallery {name!r} needs an infinite space")
     args = rest[4:]
     if not args:
         raise SpecParseError("enum needs a value list or 'empty'")
@@ -346,7 +344,11 @@ def build_registry(doc: SpecDocument) -> Registry:
         "gallery": _declare_gallery,
     }
     for head, rest in doc.declarations:
-        handlers[head](reg, rest)
+        try:
+            handlers[head](reg, rest)
+        except (ValueError, IndexError) as exc:
+            name = rest[0] if rest else ""
+            raise SpecParseError(f"{head} {name!r}: {exc}") from None
     return reg
 
 

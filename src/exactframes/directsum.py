@@ -24,6 +24,7 @@ from .realcore import (
     CRealSeq,
     PrefixSums,
     _Memo,
+    _term_limit,
     certified_tail_cut,
     creal_from_rational,
     creal_mul,
@@ -164,8 +165,7 @@ def component_cut(F: SumName, theta: Fraction, p: int, limit: int) -> int:
         F.normsq, F.normsq_partial, theta, p, limit, what="sum norm datum")
 
 
-def sum_inner_product(F: SumName, G: SumName, *,
-                      max_terms_shift: int = 16) -> CReal:
+def sum_inner_product(F: SumName, G: SumName) -> CReal:
     """Certified inner product: the cross tail is bounded by the product
     of the two certified component tails."""
     if F.space is not G.space:
@@ -174,7 +174,7 @@ def sum_inner_product(F: SumName, G: SumName, *,
     def fn(n: int) -> Fraction:
         # per-side tail squares <= 2*theta, so cross tail <= 2*theta <= 2^-(n+2)
         theta = pow2(-(n + 3))
-        limit = 1 << (n + max_terms_shift)
+        limit = _term_limit(n)
         count = max(component_cut(F, theta, n + 6, limit),
                     component_cut(G, theta, n + 6, limit))
         finite = creal_sum([inner_product(F.component(i), G.component(i))
@@ -196,8 +196,7 @@ def sum_to_fourier(F: SumName) -> FourierName:
     return FourierName(F.space, fn, F.normsq)
 
 
-def fourier_to_sum(G: FourierName, compnorms: CRealSeq, *,
-                   max_terms_shift: int = 16) -> SumName:
+def fourier_to_sum(G: FourierName, compnorms: CRealSeq) -> SumName:
     """Reassemble components from coordinates.
 
     compnorms.at(i) must equal the norm of component i; that sequence is
@@ -209,7 +208,6 @@ def fourier_to_sum(G: FourierName, compnorms: CRealSeq, *,
         space_i = G.space.component(i)
         norm_i = compnorms.at(i)
         return vector_from_coefficients(
-            space_i, lambda j: G.coeff(i, j), creal_mul(norm_i, norm_i),
-            max_terms_shift=max_terms_shift)
+            space_i, lambda j: G.coeff(i, j), creal_mul(norm_i, norm_i))
 
     return SumName(G.space, fn, G.normsq)

@@ -11,8 +11,9 @@ class PrecisionExhaustionError(Exception):
     """A required tail certificate could not be established.
 
     Raised either when claimed totals understate the actual data (the
-    certificate goes provably negative) or when the configured search
-    budget runs out before the certificate closes.
+    certificate goes provably negative) or when the search passes the
+    fixed term limit, 2**(n + 16) terms at precision n, before the
+    certificate closes.
     """
 
 

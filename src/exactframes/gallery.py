@@ -26,6 +26,7 @@ from .realcore import (
     Comparison,
     CReal,
     SpeckerData,
+    _term_limit,
     bits_for,
     ceil_int,
     certified_tail_cut,
@@ -145,34 +146,34 @@ def column_lower_adjoint(space: SpaceDescriptor, u: ColumnLowerU) -> OperatorNam
     return OperatorName(space, space, Fraction(3), program)
 
 
-def _gate_cut(s: SpeckerData, gate: NormOracle, theta: Fraction,
-              limit: int) -> int:
-    """Certified count K with the term square mass beyond a_K at most
-    2*theta, per the gate; understated gates fail here."""
-    return certified_tail_cut(
+def _gated_column(s: SpeckerData, gate: NormOracle, weight: Fraction,
+                  err: Fraction, n: int) -> list[tuple[int, Fraction]]:
+    """The nonzero (k, a_k) for 1 <= k <= K, with K certified against the
+    gate so that weight times the l2 mass of the neglected terms is at
+    most sqrt(2) * err; understated gates fail here."""
+    theta = (err / weight) ** 2
+    cut = certified_tail_cut(
         gate.value,
         lambda count: creal_from_rational(s.sum_of_squares(count)),
-        theta, prec_for(theta), limit, what="norm gate")
+        theta, prec_for(theta), _term_limit(n), what="norm gate")
+    return [(k, t) for k in range(1, cut + 1) if (t := s.term(k - 1))]
 
 
 def _gated_lower_toeplitz(space: SpaceDescriptor, s: SpeckerData,
-                          gate: NormOracle, max_terms_shift: int) -> OperatorName:
+                          gate: NormOracle) -> OperatorName:
     def program(f: VectorName) -> VectorName:
         def fn(n: int) -> FiniteCombo:
             c = f.approx(n + 3)
             if not c.terms:
                 return FiniteCombo(space, {})
+            # column tails: l1 * sqrt(2) * 2^-(n+3) <= 2^-(n+2)
             l1 = sum(abs(q) for _, q in c.terms)
-            # column tails: l1 * sqrt(2*theta) <= 2^-(n+2)
-            theta = (pow2(-(n + 3)) / l1) ** 2
-            cut = _gate_cut(s, gate, theta, 1 << (n + max_terms_shift))
+            column = _gated_column(s, gate, l1, pow2(-(n + 3)), n)
             out: dict[int, Fraction] = {}
             for j, q in c.terms:
                 out[j] = out.get(j, Fraction(0)) + q
-                for k in range(1, cut + 1):
-                    t = s.term(k - 1)
-                    if t:
-                        out[j + k] = out.get(j + k, Fraction(0)) + t * q
+                for k, t in column:
+                    out[j + k] = out.get(j + k, Fraction(0)) + t * q
             return FiniteCombo(space, out)
 
         return VectorName(space, fn)
@@ -181,19 +182,15 @@ def _gated_lower_toeplitz(space: SpaceDescriptor, s: SpeckerData,
 
 
 def _gated_loaded_column(space: SpaceDescriptor, s: SpeckerData,
-                         gate: NormOracle, max_terms_shift: int) -> OperatorName:
+                         gate: NormOracle) -> OperatorName:
     def program(f: VectorName) -> VectorName:
         def fn(n: int) -> FiniteCombo:
             c = f.approx(n + 3)
             out = {k: q for k, q in c.terms}
             c0 = c.coeff(0)
             if c0:
-                theta = (pow2(-(n + 3)) / abs(c0)) ** 2
-                cut = _gate_cut(s, gate, theta, 1 << (n + max_terms_shift))
-                for k in range(1, cut + 1):
-                    t = s.term(k - 1)
-                    if t:
-                        out[k] = out.get(k, Fraction(0)) + t * c0
+                for k, t in _gated_column(s, gate, abs(c0), pow2(-(n + 3)), n):
+                    out[k] = out.get(k, Fraction(0)) + t * c0
             return FiniteCombo(space, out)
 
         return VectorName(space, fn)
@@ -202,8 +199,7 @@ def _gated_loaded_column(space: SpaceDescriptor, s: SpeckerData,
 
 
 def gated_adjoint(space: SpaceDescriptor,
-                  construction, gate: NormOracle, *,
-                  max_terms_shift: int = 16) -> OperatorName:
+                  construction, gate: NormOracle) -> OperatorName:
     """The gate-requiring direction of a construction: the adjoint of its
     computable face.
 
@@ -215,11 +211,9 @@ def gated_adjoint(space: SpaceDescriptor,
     """
     _require_infinite(space)
     if isinstance(construction, ColumnLowerU):
-        return _gated_loaded_column(space, construction.specker, gate,
-                                    max_terms_shift)
+        return _gated_loaded_column(space, construction.specker, gate)
     if isinstance(construction, (ToeplitzUpperU, ToeplitzLowerU)):
-        return _gated_lower_toeplitz(space, construction.specker, gate,
-                                     max_terms_shift)
+        return _gated_lower_toeplitz(space, construction.specker, gate)
     raise TypeError(f"unsupported gallery construction: {construction!r}")
 
 
@@ -277,7 +271,7 @@ def _extend_reciprocal(bs: list[int], shifts: list[tuple[int, int]],
 
 
 def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
-                   gate: NormOracle, *, max_terms_shift: int = 16) -> GFrameName:
+                   gate: NormOracle) -> GFrameName:
     """The dual g-frame of the single-operator upper-Toeplitz g-frame:
     the inverse of its synthesis-side lower-Toeplitz action.
 
@@ -292,7 +286,8 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
     _require_infinite(space)
     s = t.specker
     # construction probe: fixes a sound operator bound, rejects bad gates
-    _, sigma0 = _effective_prefix(s, gate, Fraction(1, 1 << 12), 1 << 24)
+    _, sigma0 = _effective_prefix(s, gate, Fraction(1, 1 << 12),
+                                  _term_limit(8))
     margin0 = 1 - sigma0
     tau_bound = 2 / margin0
     in_shift = bits_for(tau_bound)
@@ -306,8 +301,7 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
             l2_up = Fraction(c.norm_upper())
             # neglected-terms perturbation: ||tau - tau_cut|| <= budget
             budget = pow2(-(n + 4)) / max(Fraction(1), l2_up)
-            cut, sigma = _effective_prefix(s, gate, budget,
-                                           1 << (n + max_terms_shift))
+            cut, sigma = _effective_prefix(s, gate, budget, _term_limit(n))
             if sigma == 0:
                 return c
             # every kept term is a power of two: b_m = B_m / 2**w exactly
@@ -376,8 +370,7 @@ def toeplitz_upper_gframe(space: SpaceDescriptor, t: ToeplitzUpperU,
 
 
 def remark_frame_operator(space: SpaceDescriptor, u: ColumnLowerU,
-                          gate: NormOracle, *,
-                          max_terms_shift: int = 16) -> OperatorName:
+                          gate: NormOracle) -> OperatorName:
     """Frame operator of the loaded-column vector family e_0,
     (-a_1, 1, 0, ...), (-a_2, 0, 1, ...), ...
 
@@ -408,12 +401,8 @@ def remark_frame_operator(space: SpaceDescriptor, u: ColumnLowerU,
             if h:
                 out[0] = h
             if c0:
-                theta = (pow2(-(n + 4)) / abs(c0)) ** 2
-                cut = _gate_cut(s, gate, theta, 1 << (n + max_terms_shift))
-                for k in range(1, cut + 1):
-                    t = s.term(k - 1)
-                    if t:
-                        out[k] = out.get(k, Fraction(0)) - t * c0
+                for k, t in _gated_column(s, gate, abs(c0), pow2(-(n + 4)), n):
+                    out[k] = out.get(k, Fraction(0)) - t * c0
             return FiniteCombo(space, out)
 
         return VectorName(space, fn)

@@ -16,7 +16,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     InvariantViolationError,
@@ -27,12 +27,14 @@ from .realcore import (
     CReal,
     CRealSeq,
     _Memo,
+    _term_limit,
     bits_for,
     certified_tail_cut,
     creal_add,
     creal_from_rational,
     creal_mul,
     creal_scale,
+    creal_sqrt,
     creal_sub,
     creal_sum,
     dyadic_round,
@@ -393,8 +395,7 @@ def corresponding_frame(G: GFrameName, sys: InnerSystem,
 
 
 def gframe_from_corresponding(F: FrameName, sys: InnerSystem,
-                              co: CoefficientOracle, *,
-                              max_terms_shift: int = 16) -> GFrameName:
+                              co: CoefficientOracle) -> GFrameName:
     """Rebuild the g-frame whose corresponding frame is F.
 
     For orthonormal rows each operator value is assembled coordinatewise
@@ -414,8 +415,7 @@ def gframe_from_corresponding(F: FrameName, sys: InnerSystem,
 
             def program(f: VectorName, i=i, cod=cod) -> VectorName:
                 return vector_from_coefficients(
-                    cod, lambda k: inner_product(f, F.vec(i, k)), co(f, i),
-                    max_terms_shift=max_terms_shift)
+                    cod, lambda k: inner_product(f, F.vec(i, k)), co(f, i))
 
             return OperatorName(H, cod, op_cap, program)
 
@@ -429,32 +429,13 @@ def gframe_from_corresponding(F: FrameName, sys: InnerSystem,
         row = sys.rows(i)
         cod = row.atoms(0).space
         s_inv = invert_frame_operator(row.frame_op, row.lower, row.upper)
-        b_row = sqrt_upper(row.upper, bits=4)
-        b_row_sq = b_row * b_row
 
-        def resummed(f: VectorName, i=i) -> VectorName:
-            if row.count is not None:
-                pairs = [(inner_product(f, F.vec(i, k)), row.atoms(k))
-                         for k in range(row.count)]
-                return linear_combination(cod, pairs)
-
-            coeffs = CRealSeq(lambda k: inner_product(f, F.vec(i, k)))
-            partial = square_partial_sums(coeffs)
-
-            def fn(n: int) -> FiniteCombo:
-                # row-synthesis tail <= sqrt(B_row) * l2 coefficient tail
-                theta = pow2(-(2 * n + 4)) / (2 * b_row_sq)
-                count = certified_tail_cut(co(f, i), partial, theta,
-                                           prec_for(theta),
-                                           1 << (n + max_terms_shift),
-                                           what="row coefficient oracle")
-                pairs = [(coeffs.at(k), row.atoms(k)) for k in range(count)]
-                return linear_combination(cod, pairs).approx(n + 1)
-
-            return VectorName(cod, fn)
-
-        def program(f: VectorName) -> VectorName:
-            return s_inv.apply(resummed(f))
+        def program(f: VectorName, i=i) -> VectorName:
+            resummed = _bessel_expansion(
+                cod, lambda k: inner_product(f, F.vec(i, k)), row.atoms,
+                row.count, lambda: co(f, i), row.upper,
+                "row coefficient oracle")
+            return s_inv.apply(resummed)
 
         return OperatorName(H, cod, op_cap, program)
 
@@ -465,48 +446,48 @@ def gframe_from_corresponding(F: FrameName, sys: InnerSystem,
 # synthesis / analysis / frame operator
 
 
-def _adjoint_component(G: GFrameName, corr: FrameName, i: int,
-                       fi: VectorName, *, max_terms_shift: int = 16) -> VectorName:
-    """adjoint(op_i) applied to fi, expanded over the codomain basis with
-    the corresponding-frame vectors as columns."""
-    H = G.dom
-    cod = G.op(i).cod
-    if cod.dimension is not None:
-        pairs = [(inner_product(fi, basis_vector(cod, j)), corr.vec(i, j))
-                 for j in range(cod.dimension)]
-        return linear_combination(H, pairs)
+def _bessel_expansion(space: SpaceDescriptor, coeff: Callable[[int], CReal],
+                      atom: Callable[[int], VectorName], count: Optional[int],
+                      total: Callable[[], CReal], upper: Fraction,
+                      what: str) -> VectorName:
+    """The sum of coeff(k) * atom(k) over k < count, or over every k
+    when count is None, for atoms forming a Bessel sequence with bound
+    upper.
 
-    sqrt_b = sqrt_upper(G.upper, bits=4)
-    b_up = sqrt_b * sqrt_b
-    total = inner_product(fi, fi)
-    coeffs = CRealSeq(lambda j: inner_product(fi, basis_vector(cod, j)))
+    An infinite sum is cut against total(), the claimed square sum of
+    the coefficients: the synthesis tail is at most sqrt(upper) times
+    the l2 coefficient tail.  A finite sum never asks for the total."""
+    if count is not None:
+        return linear_combination(
+            space, [(coeff(k), atom(k)) for k in range(count)])
+
+    total_sq = total()
+    b_up = sqrt_upper(upper, bits=4) ** 2
+    coeffs = CRealSeq(coeff)
     partial = square_partial_sums(coeffs)
 
     def fn(n: int) -> FiniteCombo:
         theta = pow2(-(2 * n + 4)) / (2 * b_up)
-        count = certified_tail_cut(total, partial, theta, prec_for(theta),
-                                   1 << (n + max_terms_shift),
-                                   what="component expansion")
-        pairs = [(coeffs.at(j), corr.vec(i, j)) for j in range(count)]
-        return linear_combination(H, pairs).approx(n + 1)
+        cut = certified_tail_cut(total_sq, partial, theta, prec_for(theta),
+                                 _term_limit(n), what=what)
+        pairs = [(coeffs.at(k), atom(k)) for k in range(cut)]
+        return linear_combination(space, pairs).approx(n + 1)
 
-    return VectorName(H, fn)
+    return VectorName(space, fn)
 
 
-def synthesis(G: GFrameName, norms: NormsOracle, *,
-              max_terms_shift: int = 16) -> OperatorName:
+def synthesis(G: GFrameName, norms: NormsOracle) -> OperatorName:
     """The map (f_i) -> sum of adjoint(op_i) f_i, certified end to end.
 
     norms feeds the corresponding-frame columns; the outer truncation is
     certified from the input's normsq datum (tail of the sum bounded by
     sqrt(upper) times the certified component tail).  Repeated calls
     with the same norms oracle return one shared name."""
-    return G.derived(("synthesis", norms, max_terms_shift),
-                     lambda: _build_synthesis(G, norms, max_terms_shift))
+    return G.derived(("synthesis", norms),
+                     lambda: _build_synthesis(G, norms))
 
 
-def _build_synthesis(G: GFrameName, norms: NormsOracle,
-                     max_terms_shift: int) -> OperatorName:
+def _build_synthesis(G: GFrameName, norms: NormsOracle) -> OperatorName:
     corr = G.derived(("corresponding", norms), lambda: corresponding_frame(
         G, OrthonormalRows(lambda i: G.op(i).cod), norms))
     ss = G.sum_space()
@@ -515,24 +496,28 @@ def _build_synthesis(G: GFrameName, norms: NormsOracle,
     b_up = sqrt_b * sqrt_b
 
     def program(F: SumName) -> VectorName:
-        adj: dict[int, VectorName] = {}
+        adj = _Memo()
 
         def component_adj(i: int) -> VectorName:
-            if i not in adj:
-                adj[i] = _adjoint_component(G, corr, i, F.component(i),
-                                            max_terms_shift=max_terms_shift)
-            return adj[i]
+            # adjoint(op_i) F_i over the codomain basis, with the
+            # corresponding-frame vectors as columns
+            fi = F.component(i)
+            cod = G.op(i).cod
+            return _bessel_expansion(
+                H, lambda j: inner_product(fi, basis_vector(cod, j)),
+                lambda j: corr.vec(i, j), cod.dimension,
+                lambda: inner_product(fi, fi), G.upper, "component expansion")
 
         def fn(n: int) -> FiniteCombo:
             theta = pow2(-(2 * n + 4)) / (2 * b_up)
             count = certified_tail_cut(F.normsq, F.normsq_partial, theta,
-                                       prec_for(theta),
-                                       1 << (n + max_terms_shift),
+                                       prec_for(theta), _term_limit(n),
                                        what="input norm datum")
             pad = count.bit_length() + 1
             acc = FiniteCombo(H, {})
             for i in range(count):
-                acc = acc.add(component_adj(i).approx(n + 1 + pad))
+                fi_adj = adj.lookup(i, component_adj, i)
+                acc = acc.add(fi_adj.approx(n + 1 + pad))
             return acc
 
         return VectorName(H, fn)
@@ -831,15 +816,24 @@ def kernel_from_dual(G: GFrameName, D: GFrameName, norms: NormsOracle,
 
 
 def diagonal_gframe(space: SpaceDescriptor,
-                    overrides: Optional[Mapping[int, Fraction]] = None
+                    overrides: Union[Mapping[int, Fraction],
+                                     Iterable[tuple[int, Fraction]],
+                                     None] = None
                     ) -> tuple[GFrameName, NormsOracle, AnalysisOracle]:
     """Scalar-valued g-frame f -> w_i <f, e_i> with weight 1 except for
-    the finitely many overrides; returns the frame together with its
+    the finitely many overrides, given as a mapping or as (index, weight)
+    pairs with distinct indices; returns the frame together with its
     column-norm and analysis oracles."""
-    table = {i: Fraction(w) for i, w in (overrides or {}).items()}
-    for i, w in table.items():
+    if isinstance(overrides, Mapping):
+        overrides = overrides.items()
+    table: dict[int, Fraction] = {}
+    for i, w in overrides or ():
+        space.check_index(i)
+        if i in table:
+            raise ValueError(f"duplicate weight index {i}")
         if w == 0:
             raise ValueError("zero weights would break the lower bound")
+        table[i] = Fraction(w)
     scal = scalar_codomain(space.field)
 
     def weight(i: int) -> Fraction:
@@ -928,7 +922,6 @@ def atoms_gframe(space: SpaceDescriptor, prefix: Sequence[FiniteCombo],
 
     def atom_norm(i: int) -> CReal:
         if i < P:
-            from .realcore import creal_sqrt
             return creal_sqrt(creal_from_rational(prefix[i].norm_squared()))
         return creal_from_rational(1)
 

@@ -29,6 +29,7 @@ from .errors import SpaceMismatchError
 from .realcore import (
     CReal,
     CRealSeq,
+    _term_limit,
     bits_for,
     ceil_int,
     certified_tail_cut,
@@ -36,6 +37,7 @@ from .realcore import (
     creal_mul,
     creal_sqrt,
     dyadic_round,
+    format_rational,
     pow2,
     quantize_precision,
     square_partial_sums,
@@ -180,7 +182,6 @@ class FiniteCombo:
         return FiniteCombo(self.space, {k: dyadic_round(q, n) for k, q in self.terms})
 
     def to_text(self) -> str:
-        from .realcore import format_rational
         if not self.terms:
             return "0"
         return " ".join(f"{k}:{format_rational(q)}" for k, q in self.terms)
@@ -384,8 +385,7 @@ def riesz_functional(y: VectorName, ynorm: CReal) -> FunctionalName:
 
 def vector_from_coefficients(space: SpaceDescriptor,
                              coeff: Callable[[int], CReal],
-                             total_sq: CReal,
-                             *, max_terms_shift: int = 16) -> VectorName:
+                             total_sq: CReal) -> VectorName:
     """Assemble the vector with basis coordinates coeff(k), certifying
     truncation against total_sq, the claimed sum of squared coordinates.
 
@@ -395,8 +395,8 @@ def vector_from_coefficients(space: SpaceDescriptor,
     certified below 2**-(2n+2) at comparison precision 2n+4 (a tie
     verdict counts: its slack is inside the budget).  A certificate that
     goes provably negative means the claim understates the data and
-    raises PrecisionExhaustionError, as does exceeding 2**(n +
-    max_terms_shift) terms.
+    raises PrecisionExhaustionError, as does passing the fixed limit of
+    2**(n + 16) terms (an overstated claim never closes).
     """
     coeffs = CRealSeq(coeff)
     partial = square_partial_sums(coeffs)
@@ -404,7 +404,7 @@ def vector_from_coefficients(space: SpaceDescriptor,
     def cut_point(n: int) -> int:
         return certified_tail_cut(
             total_sq, partial, pow2(-(2 * n + 2)), 2 * n + 4,
-            1 << (n + max_terms_shift), what="coordinate square sum")
+            _term_limit(n), what="coordinate square sum")
 
     def fn(n: int) -> FiniteCombo:
         count = space.dimension if space.dimension is not None else cut_point(n)
@@ -420,7 +420,7 @@ def vector_from_coefficients(space: SpaceDescriptor,
     return VectorName(space, fn)
 
 
-def riesz_representer(F: FunctionalName, *, max_terms_shift: int = 16) -> VectorName:
+def riesz_representer(F: FunctionalName) -> VectorName:
     """The vector y with F = <., y>, assembled coordinatewise.
 
     Requires F.opnorm to be the actual functional norm; the tail
@@ -429,8 +429,7 @@ def riesz_representer(F: FunctionalName, *, max_terms_shift: int = 16) -> Vector
     """
     total_sq = creal_mul(F.opnorm, F.opnorm)
     return vector_from_coefficients(
-        F.space, lambda k: F.eval(basis_vector(F.space, k)), total_sq,
-        max_terms_shift=max_terms_shift)
+        F.space, lambda k: F.eval(basis_vector(F.space, k)), total_sq)
 
 
 def sqrt_upper(q: Fraction, bits: int = 8) -> Fraction:

@@ -408,6 +408,12 @@ def creal_compare(x: CReal, y: CReal, n: int) -> Comparison:
     return Comparison.WITHIN
 
 
+def _term_limit(n: int) -> int:
+    """The term count past which every certified cut for precision n
+    gives up: 2**(n + 16)."""
+    return 1 << (n + 16)
+
+
 def certified_tail_cut(total: CReal, partial_at: Callable[[int], CReal],
                        theta: Fraction, p: int, limit: int,
                        what: str = "tail certificate") -> int:

@@ -30,6 +30,7 @@ from .realcore import (
     creal_sqrt,
     creal_sum,
     pow2,
+    unpairing,
 )
 from .hilbert import (
     FiniteCombo,
@@ -625,7 +626,6 @@ def frame_inequality_battery() -> list[CheckResult]:
             _fmt(max(worst_upper, worst_lower))))
 
     # doubly indexed vector frames, enumerated in pairing order
-    from .realcore import unpairing
     for name in ("parseval", "weighted"):
         G, norms, ao = fixtures[name]
         corr = corresponding_frame(

@@ -1,10 +1,17 @@
+import os
 import random
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from exactframes import FiniteCombo, SpaceDescriptor, VectorName
+
+# tests that run `python -m exactframes` in a fresh process import this checkout
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

@@ -129,6 +129,24 @@ class TestExitCodes:
         text = "version 1\nspace H infinite\nvector v H 0:1.5\n"
         assert run_eval(tmp_path, text) == EXIT_PARSE
 
+    @pytest.mark.parametrize("body", [
+        "space H infinite\ngframe W H diagonal 0:0\n",
+        "space H infinite\ngframe W H block 0\n",
+        "space K 3\ngframe W K block 2\n",
+        "space K 3\nvector e0 K 0:1\n"
+        "gallery UT upper-toeplitz K enum 1,3 gate 1/4\n"
+        "task apply UT e0 precision 10\n",
+        "space K 3\nvector e0 K 0:1\ngframe W K diagonal 5:2\n"
+        "task frame-op W e0 precision 10\n",
+        "space K 3\ngframe W K diagonal 0:2 0:3\n",
+    ], ids=["zero-weight", "zero-width", "finite-block", "finite-gallery",
+            "weight-out-of-range", "duplicate-weight"])
+    def test_bad_declaration_is_a_parse_error(self, tmp_path, capsys, body):
+        assert run_eval(tmp_path, "version 1\n" + body) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert "Traceback" not in err
+
     def test_document_file_is_closed(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)

@@ -29,7 +29,7 @@ from exactframes import (
     vec_norm,
 )
 from exactframes.gallery import _effective_prefix
-from exactframes.realcore import pow2, quantize_precision
+from exactframes.realcore import _term_limit, pow2, quantize_precision
 
 from conftest import combo, vec
 
@@ -224,7 +224,7 @@ def _fraction_reciprocal(s, cut, upto):
     return bs
 
 
-def _fraction_dual(space, s, gate, c, n, max_terms_shift=16):
+def _fraction_dual(space, s, gate, c, n):
     """The dual's program on an exact combination, in Fraction arithmetic
     throughout: the reference the scaled-integer expansion must match."""
     if not c.terms:
@@ -232,7 +232,7 @@ def _fraction_dual(space, s, gate, c, n, max_terms_shift=16):
     l1 = sum(abs(q) for _, q in c.terms)
     l2_up = F(c.norm_upper())
     budget = pow2(-(n + 4)) / max(F(1), l2_up)
-    cut, sigma = _effective_prefix(s, gate, budget, 1 << (n + max_terms_shift))
+    cut, sigma = _effective_prefix(s, gate, budget, _term_limit(n))
     if sigma == 0:
         return c
     h0 = max(abs(b) for b in _fraction_reciprocal(s, cut, cut))
