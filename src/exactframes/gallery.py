@@ -230,6 +230,9 @@ def _effective_prefix(s: SpeckerData, gate: NormOracle, budget: Fraction,
     """
     count = 4
     while True:
+        if count > limit:
+            raise PrecisionExhaustionError(
+                f"norm gate leaves too much mass unplaced within {limit} terms")
         sigma = s.sum_of_terms(count)
         margin = 1 - sigma           # > 0: distinct powers 2^-(j+1) sum below 1
         target_l1 = min(margin / 2, budget * margin * margin / 2)
@@ -245,9 +248,6 @@ def _effective_prefix(s: SpeckerData, gate: NormOracle, budget: Fraction,
                     "norm gate understates the term data "
                     f"(residual provably negative by index {count})")
             return count, sigma
-        if count > limit:
-            raise PrecisionExhaustionError(
-                f"norm gate leaves too much mass unplaced within {limit} terms")
         count *= 2
 
 

@@ -27,6 +27,7 @@ from .realcore import (
     CReal,
     CRealSeq,
     _Memo,
+    _exact_prefix_count,
     _term_limit,
     bits_for,
     certified_tail_cut,
@@ -313,6 +314,8 @@ def riesz_correspondence(atoms: Callable[[int], tuple[VectorName, CReal]],
 
         def program(f: VectorName, y=y) -> VectorName:
             ip = inner_product(f, y)
+            if ip.exact_value is not None:
+                return VectorName.from_combo(FiniteCombo(scal, {0: ip.exact_value}))
 
             def fn(n: int) -> FiniteCombo:
                 v = dyadic_round(ip.approx(n + 1), n + 1)
@@ -481,8 +484,11 @@ def synthesis(G: GFrameName, norms: NormsOracle) -> OperatorName:
 
     norms feeds the corresponding-frame columns; the outer truncation is
     certified from the input's normsq datum (tail of the sum bounded by
-    sqrt(upper) times the certified component tail).  Repeated calls
-    with the same norms oracle return one shared name."""
+    sqrt(upper) times the certified component tail).  An exact normsq
+    that the exact component square sums meet at one of the first
+    doubling counts, with every component adjoint below it exact, gives
+    the exact sum of those adjoints.  Repeated calls with the same norms
+    oracle return one shared name."""
     return G.derived(("synthesis", norms),
                      lambda: _build_synthesis(G, norms))
 
@@ -507,6 +513,17 @@ def _build_synthesis(G: GFrameName, norms: NormsOracle) -> OperatorName:
                 H, lambda j: inner_product(fi, basis_vector(cod, j)),
                 lambda j: corr.vec(i, j), cod.dimension,
                 lambda: inner_product(fi, fi), G.upper, "component expansion")
+
+        count = _exact_prefix_count(F.normsq, F.normsq_partial)
+        if count is not None:
+            acc = FiniteCombo(H, {})
+            for i in range(count):
+                fi_adj = adj.lookup(i, component_adj, i).exact_combo
+                if fi_adj is None:
+                    break
+                acc = acc.add(fi_adj)
+            else:
+                return VectorName.from_combo(acc)
 
         def fn(n: int) -> FiniteCombo:
             theta = pow2(-(2 * n + 4)) / (2 * b_up)

@@ -29,6 +29,7 @@ from .errors import SpaceMismatchError
 from .realcore import (
     CReal,
     CRealSeq,
+    _exact_prefix_count,
     _term_limit,
     bits_for,
     ceil_int,
@@ -207,7 +208,9 @@ class VectorName:
 
     approx(n) is a finite combination within 2**-n of the point in norm.
     Approximations are memoised per quantised precision; instances are
-    immutable and safe to share across threads.
+    immutable and safe to share across threads.  An exact instance
+    answers every query with its combination and holds no memo and no
+    lock.
     """
 
     __slots__ = ("space", "_fn", "_exact", "_cache", "_lock", "__weakref__")
@@ -220,8 +223,11 @@ class VectorName:
         self.space = space
         self._fn = fn
         self._exact = exact
-        self._cache: dict[int, FiniteCombo] = {}
-        self._lock = threading.RLock()
+        if exact is not None:
+            self._cache = self._lock = None
+        else:
+            self._cache: dict[int, FiniteCombo] = {}
+            self._lock = threading.RLock()
 
     @classmethod
     def from_combo(cls, c: FiniteCombo) -> "VectorName":
@@ -298,18 +304,21 @@ Coefficient = Union[Fraction, CReal]
 def linear_combination(space: SpaceDescriptor,
                        pairs: Sequence[tuple[Coefficient, VectorName]]) -> VectorName:
     """Sum of coefficient * vector over the pairs, with the error budget
-    split evenly; coefficients may be exact rationals or CReals."""
+    split evenly; coefficients may be exact rationals or CReals.  When
+    every vector is exact and every coefficient is a rational or an
+    exact CReal, the sum is an exact name."""
     pairs = list(pairs)
     for _, v in pairs:
         _require_same_space(v.space, space)
     L = len(pairs)
     if L == 0:
         return VectorName.zero(space)
-    if all(not isinstance(c, CReal) and v.exact_combo is not None
-           for c, v in pairs):
+    exact = [(c.exact_value if isinstance(c, CReal) else c, v.exact_combo)
+             for c, v in pairs]
+    if all(c is not None and v is not None for c, v in exact):
         acc = FiniteCombo(space, {})
-        for c, v in pairs:
-            acc = acc.add(v.exact_combo.scale(Fraction(c)))
+        for c, v in exact:
+            acc = acc.add(v.scale(Fraction(c)))
         return VectorName.from_combo(acc)
     shift = L.bit_length()
 
@@ -397,9 +406,21 @@ def vector_from_coefficients(space: SpaceDescriptor,
     goes provably negative means the claim understates the data and
     raises PrecisionExhaustionError, as does passing the fixed limit of
     2**(n + 16) terms (an overstated claim never closes).
+
+    On an infinite space, an exact total_sq that the exact partial
+    square sum meets at one of the first doubling counts (see
+    _exact_prefix_count) makes the result the exact name of the
+    coefficients below that count.  Every other case takes the
+    certified path above, so a false claim fails at approx as before.
     """
     coeffs = CRealSeq(coeff)
     partial = square_partial_sums(coeffs)
+    if space.dimension is None:
+        count = _exact_prefix_count(total_sq, partial)
+        if count is not None:
+            values = [coeffs.at(k).exact_value for k in range(count)]
+            if all(v is not None for v in values):
+                return VectorName.from_combo(FiniteCombo(space, enumerate(values)))
 
     def cut_point(n: int) -> int:
         return certified_tail_cut(

@@ -107,7 +107,8 @@ class CReal:
     grid point; the memo is the only mutable state and is lock-guarded,
     so instances are immutable values safe to share and evaluate from
     several threads.  Memoisation is observationally pure: a given n
-    always yields the same rational.
+    always yields the same rational.  An exact instance answers every
+    query with its rational and holds no memo and no lock.
     """
 
     __slots__ = ("_fn", "_exact", "_cache", "_lock")
@@ -117,9 +118,13 @@ class CReal:
         if (fn is None) == (exact is None):
             raise ValueError("exactly one of fn/exact must be given")
         self._fn = fn
-        self._exact = Fraction(exact) if exact is not None else None
-        self._cache: dict[int, Fraction] = {}
-        self._lock = threading.RLock()
+        if exact is not None:
+            self._exact = exact if type(exact) is Fraction else Fraction(exact)
+            self._cache = self._lock = None
+        else:
+            self._exact = None
+            self._cache: dict[int, Fraction] = {}
+            self._lock = threading.RLock()
 
     def approx(self, n: int) -> Fraction:
         if n < 0:
@@ -165,7 +170,7 @@ class CReal:
 
 
 def creal_from_rational(q: Fraction) -> CReal:
-    return CReal(exact=Fraction(q))
+    return CReal(exact=q)
 
 
 ZERO = creal_from_rational(0)
@@ -425,12 +430,16 @@ def certified_tail_cut(total: CReal, partial_at: Callable[[int], CReal],
     The certificate is two-sided: a difference that is provably below
     -theta means the claimed total understates the data, and the search
     raises PrecisionExhaustionError instead of ever returning a cut that
-    would silence real mass.  Exceeding `limit` terms raises too.
+    would silence real mass.  A count past `limit` is never tried: the
+    search raises instead.
     """
     pos = creal_from_rational(theta)
     neg = creal_from_rational(-theta)
     count = 4
     while True:
+        if count > limit:
+            raise PrecisionExhaustionError(
+                f"{what}: not certified within {limit} terms")
         t = creal_sub(total, partial_at(count))
         if creal_compare(t, pos, p) is not Comparison.GREATER_CERTAIN:
             if creal_compare(t, neg, p) is Comparison.LESS_CERTAIN:
@@ -438,10 +447,35 @@ def certified_tail_cut(total: CReal, partial_at: Callable[[int], CReal],
                     f"{what}: claimed total understates the data "
                     f"(certificate provably negative by index {count})")
             return count
-        if count > limit:
-            raise PrecisionExhaustionError(
-                f"{what}: not certified within {limit} terms")
         count *= 2
+
+
+def _exact_prefix_count(total: CReal,
+                        partial_at: Callable[[int], CReal]) -> Optional[int]:
+    """The first doubling count of certified_tail_cut (4, 8, ..., 64)
+    at which the partial sum is exact and equal to the exact claimed
+    total, or None.
+
+    Read against a true claim, equality means every later term is zero:
+    the series is exactly its prefix.  certified_tail_cut would stop at
+    that count or before it at every precision, since its residual there
+    is zero.  The walk reads only exact values and never calls approx,
+    so it gives up (None) at the first inexact partial, at a
+    partial above the total, and past 64 terms; the caller then takes
+    the certified path, which reports a false claim as it always has.
+    """
+    t = total.exact_value
+    if t is None:
+        return None
+    count = 4
+    while count <= 64:
+        s = partial_at(count).exact_value
+        if s is None or s > t:
+            return None
+        if s == t:
+            return count
+        count *= 2
+    return None
 
 
 class ComplexCReal:

@@ -224,6 +224,20 @@ def _fraction_reciprocal(s, cut, upto):
     return bs
 
 
+def test_effective_prefix_reads_no_term_past_the_limit():
+    asked = []
+
+    def enum(k):
+        asked.append(k)
+        return None
+
+    overstated = NormOracle.exact(F(1))      # every term is zero
+    with pytest.raises(PrecisionExhaustionError,
+                       match="^norm gate leaves too much mass unplaced within 64 terms$"):
+        _effective_prefix(SpeckerData(enum), overstated, F(1, 16), 64)
+    assert max(asked) == 63
+
+
 def _fraction_dual(space, s, gate, c, n):
     """The dual's program on an exact combination, in Fraction arithmetic
     throughout: the reference the scaled-integer expansion must match."""

@@ -4,8 +4,10 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exactframes import (
+    CReal,
     CRealSeq,
     FiniteCombo,
     FrameRows,
@@ -54,9 +56,11 @@ from exactframes import (
     vec_norm,
     zero_operator,
 )
+from exactframes import directsum, gallery, gframes, hilbert, realcore
 from exactframes.realcore import creal_mul, creal_scale, pow2
 
-from conftest import combo, finishes, random_combo, vec
+from conftest import (assert_same_outcomes, claimed_total, claims, combo,
+                      exact_prefixes, finishes, random_combo, vec)
 
 F = Fraction
 
@@ -695,3 +699,79 @@ class TestKernelDuals:
         bad = OperatorName(H, ss.descriptor, F(1), program)
         with pytest.raises(InvariantViolationError):
             dual_from_kernel(G, norms, ao, bad)
+
+
+_weights = st.dictionaries(st.integers(0, 5),
+                           st.sampled_from([F(1, 2), F(1), F(2), F(3)]))
+_vectors = st.dictionaries(st.integers(0, 5),
+                           st.fractions(-3, 3, max_denominator=9))
+
+
+class TestExactClosure:
+    @settings(max_examples=40, deadline=None)
+    @given(values=exact_prefixes, claim=claims)
+    @example(values={0: F(1), 5: F(1)}, claim=("met early", 1))
+    def test_synthesis_agrees_with_the_certified_path(self, values, claim):
+        H = SpaceDescriptor()
+        G, norms, _ = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
+        ss = G.sum_space()
+        t = claimed_total(values, claim)
+
+        def component(i):
+            return VectorName.from_combo(
+                combo(ss.component(i), {0: values[i]} if i in values else {}))
+
+        syn = synthesis(G, norms)
+        exact_path = syn.apply(SumName(ss, component, creal_from_rational(t)))
+        certified_path = syn.apply(SumName(ss, component, CReal(lambda n: t)))
+        assert certified_path.exact_combo is None
+        if claim[0] == "exact":
+            weight = {0: 2, 1: F(1, 2)}
+            assert exact_path.exact_combo == combo(
+                H, {i: weight.get(i, 1) * q for i, q in values.items()})
+        assert_same_outcomes(exact_path, certified_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights=_weights, coeffs=_vectors)
+    def test_diagonal_frame_operator_is_exact(self, weights, coeffs):
+        H = SpaceDescriptor()
+        G, norms, ao = diagonal_gframe(H, weights)
+        out = frame_operator(G, norms, ao).apply(vec(H, coeffs))
+        assert out.exact_combo == combo(
+            H, {i: weights.get(i, 1) ** 2 * q for i, q in coeffs.items()})
+
+    # a [1/4, 9] window takes up to 10 s an example, hence the few examples
+    @settings(max_examples=5, deadline=None)
+    @given(weights=_weights, coeffs=_vectors)
+    def test_diagonal_reconstruction(self, weights, coeffs):
+        H = SpaceDescriptor()
+        G, norms, ao = diagonal_gframe(H, weights)
+        dual, ao_d = canonical_dual_pair(G, norms, ao)
+        f = vec(H, coeffs)
+        for n in (16, 32):
+            got = reconstruct(G, dual, norms, f, ao_d).approx(n)
+            assert got.sub(f.exact_combo).norm_squared() <= pow2(-2 * n)
+
+    def test_frame_operator_on_exact_input_makes_no_tail_cut(self, H, monkeypatch):
+        cuts = []
+        certified_tail_cut = realcore.certified_tail_cut
+
+        def counting(*args, **kwargs):
+            cuts.append(kwargs.get("what"))
+            return certified_tail_cut(*args, **kwargs)
+
+        for module in (realcore, hilbert, directsum, gframes, gallery):
+            if hasattr(module, "certified_tail_cut"):
+                monkeypatch.setattr(module, "certified_tail_cut", counting)
+        G, norms, ao = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
+        out = frame_operator(G, norms, ao).apply(
+            vec(H, {0: F(1, 3), 1: F(-2, 5), 4: F(1, 7)}))
+        assert out.approx(32) == combo(H, {0: F(4, 3), 1: F(-1, 10), 4: F(1, 7)})
+        assert cuts == []
+
+    def test_exact_evaluations(self, H):
+        G = riesz_correspondence(
+            lambda i: (vec(H, {i: F(3, 5), i + 1: F(4, 5)}), creal_from_rational(1)),
+            F(1, 2), F(2))
+        out = G.op(2).apply(vec(H, {2: 3, 3: F(1, 5)}))
+        assert out.exact_combo == combo(out.space, {0: F(49, 25)})

@@ -3,8 +3,10 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
 
 from exactframes import (
+    CReal,
     FiniteCombo,
     FunctionalName,
     PrecisionExhaustionError,
@@ -16,6 +18,7 @@ from exactframes import (
     creal_mul,
     creal_sqrt,
     inner_product,
+    linear_combination,
     riesz_functional,
     riesz_representer,
     vec_distance,
@@ -25,7 +28,8 @@ from exactframes import (
 )
 from exactframes.realcore import pow2
 
-from conftest import combo, random_combo, vec
+from conftest import (assert_same_outcomes, claimed_total, claims, combo,
+                      exact_prefixes, random_combo, vec)
 
 F = Fraction
 
@@ -260,3 +264,49 @@ class TestVectorFromCoefficients:
         got = v.approx(20)
         for k in range(3):
             assert abs(got.coeff(k) - F(k + 1, 3)) <= pow2(-18)
+
+
+class TestExactClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(values=exact_prefixes, claim=claims)
+    def test_exact_claim_agrees_with_the_certified_path(self, values, claim):
+        H = SpaceDescriptor()
+        t = claimed_total(values, claim)
+        coeff = lambda k: creal_from_rational(values.get(k, F(0)))
+        exact_path = vector_from_coefficients(H, coeff, creal_from_rational(t))
+        certified_path = vector_from_coefficients(H, coeff, CReal(lambda n: t))
+        assert certified_path.exact_combo is None
+        if claim[0] == "exact":
+            assert exact_path.exact_combo == combo(H, values)
+        assert_same_outcomes(exact_path, certified_path)
+
+    def test_mass_past_a_met_claim_is_dropped_on_both_paths(self, H):
+        values = {0: F(1), 5: F(1)}
+        coeff = lambda k: creal_from_rational(values.get(k, F(0)))
+        exact_path = vector_from_coefficients(H, coeff, creal_from_rational(1))
+        certified_path = vector_from_coefficients(H, coeff, CReal(lambda n: F(1)))
+        assert exact_path.exact_combo.to_text() == "0:1"
+        for n in (0, 8, 32):
+            assert certified_path.approx(n).to_text() == "0:1"
+
+    def test_exact_norm_gives_an_exact_representer(self, H):
+        y = vec(H, {1: 3, 6: -4})
+        rep = riesz_representer(riesz_functional(y, creal_from_rational(5)))
+        assert rep.exact_combo == y.exact_combo
+        lazy = riesz_representer(riesz_functional(y, vec_norm(y)))
+        assert lazy.exact_combo is None
+        assert vec_distance(lazy, y).approx(30) <= pow2(-30)
+
+    def test_exact_creal_coefficients_give_an_exact_combination(self, H):
+        v = linear_combination(H, [(creal_from_rational(F(1, 3)), vec(H, {0: 3})),
+                                   (F(2), vec(H, {0: 1, 4: F(1, 2)}))])
+        assert v.exact_combo == combo(H, {0: 3, 4: 1})
+        lazy = linear_combination(H, [(creal_sqrt(creal_from_rational(4)),
+                                       vec(H, {0: 1}))])
+        assert lazy.exact_combo is None
+        assert abs(lazy.approx(20).coeff(0) - 2) <= pow2(-20)
+
+    def test_exact_names_hold_no_memo(self, H):
+        v = vec(H, {2: 5})
+        assert v._cache is None and v._lock is None
+        assert v.approx(30) is v.exact_combo

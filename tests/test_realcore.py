@@ -30,7 +30,9 @@ from exactframes import (
 )
 from exactframes.realcore import (
     ONE,
+    CReal,
     PrefixSums,
+    _exact_prefix_count,
     bits_for,
     ceil_int,
     certified_tail_cut,
@@ -91,6 +93,15 @@ class TestConstants:
 
     def test_constant_negative(self):
         assert creal_from_rational(F(-7, 2)).approx(0) == F(-7, 2)
+
+    def test_exact_constant_holds_no_memo(self):
+        q = F(1, 3)
+        x = creal_from_rational(q)
+        assert x.exact_value is q
+        assert x._cache is None and x._lock is None
+        assert x.approx(40) is q
+        assert repr(x) == "CReal(1/3)"
+        assert creal_from_rational(2).exact_value == 2
 
 
 class TestArithmetic:
@@ -315,6 +326,66 @@ class TestCertifiedTailCut:
         partial = lambda count: creal_from_rational(1 - pow2(-count))
         cut = certified_tail_cut(total, partial, pow2(-10), 12, 1 << 20)
         assert pow2(-cut) <= 2 * pow2(-10)
+
+    def test_no_partial_past_the_limit(self):
+        asked = []
+
+        def partial(count):
+            asked.append(count)
+            return creal_from_rational(F(1))
+
+        with pytest.raises(PrecisionExhaustionError,
+                           match="^tail certificate: not certified within 64 terms$"):
+            certified_tail_cut(creal_from_rational(F(2)), partial,
+                               pow2(-20), 22, 64)
+        assert asked == [4, 8, 16, 32, 64]
+
+
+def _never_evaluated(n):
+    raise AssertionError("the exact walk evaluated a name")
+
+
+class TestExactPrefixCount:
+    @staticmethod
+    def _partials(values):
+        """count -> exact sum of values[:count], recording the counts asked."""
+        asked = []
+
+        def partial(count):
+            asked.append(count)
+            return creal_from_rational(sum(values[:count], F(0)))
+
+        return partial, asked
+
+    def test_first_doubling_count_that_meets_the_total(self):
+        partial, asked = self._partials([F(1)] * 6)
+        assert _exact_prefix_count(creal_from_rational(F(6)), partial) == 8
+        assert asked == [4, 8]
+
+    def test_mass_past_the_count_is_not_seen(self):
+        # a false claim met early: the certified cut stops at 4 as well
+        values = [F(1)] + [F(0)] * 4 + [F(1)]
+        partial, _ = self._partials(values)
+        assert _exact_prefix_count(creal_from_rational(F(1)), partial) == 4
+
+    def test_lazy_total_is_left_alone(self):
+        partial, asked = self._partials([F(1)])
+        assert _exact_prefix_count(CReal(_never_evaluated), partial) is None
+        assert asked == []
+
+    def test_lazy_partial_gives_up(self):
+        assert _exact_prefix_count(creal_from_rational(F(1)),
+                                   lambda count: CReal(_never_evaluated)) is None
+
+    def test_partial_above_the_total_gives_up(self):
+        partial, asked = self._partials([F(1)] * 6)
+        assert _exact_prefix_count(creal_from_rational(F(5)), partial) is None
+        assert asked == [4, 8]
+
+    def test_overstated_total_stops_at_the_cap(self):
+        partial, asked = self._partials([F(1)])
+        assert _exact_prefix_count(creal_from_rational(F(2)), partial) is None
+        assert asked == [4, 8, 16, 32, 64]
 
 
 class TestCRealSeq:
