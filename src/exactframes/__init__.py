@@ -22,7 +22,6 @@ from .realcore import (
     ComplexCReal,
     CReal,
     CRealSeq,
-    Rational,
     SpeckerData,
     creal_abs,
     creal_add,
@@ -79,12 +78,10 @@ from .gframes import (
     analysis,
     atoms_gframe,
     block_gframe,
-    canonical_dual,
     canonical_dual_pair,
     corresponding_frame,
     diagonal_gframe,
     diagonal_operator,
-    dual_from_kernel,
     dual_from_left_inverse,
     frame_operator,
     gframe_from_corresponding,

@@ -251,7 +251,10 @@ def _declare_sumvec(reg: Registry, rest: list[str]) -> None:
         if v.exact_combo is None:
             raise SpecResolveError(
                 f"sumvec component {vec_name!r} must be an exact literal")
-        comps[_nat(idx, "component index")] = v.exact_combo
+        slot = _nat(idx, "component index")
+        if slot in comps:
+            raise ValueError(f"duplicate component index {slot}")
+        comps[slot] = v.exact_combo
     made = SumName.finite(ss, comps)
     if normsq is not None:
         made = SumName(ss, made.component, creal_from_rational(normsq))
@@ -335,19 +338,24 @@ def _declare_gallery(reg: Registry, rest: list[str]) -> None:
 
 def build_registry(doc: SpecDocument) -> Registry:
     reg = Registry()
+    # each kind of name has its own table: a space and a vector may share
+    # a name, two spaces may not
     handlers = {
-        "space": _declare_space,
-        "vector": _declare_vector,
-        "sumspace": _declare_sumspace,
-        "sumvec": _declare_sumvec,
-        "gframe": _declare_gframe,
-        "gallery": _declare_gallery,
+        "space": (_declare_space, reg.spaces),
+        "vector": (_declare_vector, reg.vectors),
+        "sumspace": (_declare_sumspace, reg.sumspaces),
+        "sumvec": (_declare_sumvec, reg.sumvecs),
+        "gframe": (_declare_gframe, reg.gframes),
+        "gallery": (_declare_gallery, reg.gallery),
     }
     for head, rest in doc.declarations:
+        handler, table = handlers[head]
+        name = rest[0] if rest else ""
+        if name in table:
+            raise SpecParseError(f"{head} {name!r} is already declared")
         try:
-            handlers[head](reg, rest)
+            handler(reg, rest)
         except (ValueError, IndexError) as exc:
-            name = rest[0] if rest else ""
             raise SpecParseError(f"{head} {name!r}: {exc}") from None
     return reg
 

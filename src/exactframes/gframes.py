@@ -36,7 +36,6 @@ from .realcore import (
     creal_mul,
     creal_scale,
     creal_sqrt,
-    creal_sub,
     creal_sum,
     dyadic_round,
     pow2,
@@ -285,9 +284,9 @@ class FrameRows:
 InnerSystem = Union[OrthonormalRows, FrameRows]
 
 
-def scalar_codomain(field: str = "R") -> SpaceDescriptor:
+def scalar_codomain() -> SpaceDescriptor:
     """A one-dimensional codomain: scalars viewed as a Hilbert space."""
-    return SpaceDescriptor(dimension=1, field=field)
+    return SpaceDescriptor(dimension=1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +294,7 @@ def scalar_codomain(field: str = "R") -> SpaceDescriptor:
 
 
 def riesz_correspondence(atoms: Callable[[int], tuple[VectorName, CReal]],
-                         lower: Fraction, upper: Fraction,
-                         scalar_space: Optional[SpaceDescriptor] = None) -> GFrameName:
+                         lower: Fraction, upper: Fraction) -> GFrameName:
     """Turn a vector frame (with per-atom norms) into the g-frame of
     evaluation operators f -> <f, atom_i> into a shared scalar space.
 
@@ -304,7 +302,7 @@ def riesz_correspondence(atoms: Callable[[int], tuple[VectorName, CReal]],
     """
     first, _ = atoms(0)
     dom = first.space
-    scal = scalar_space if scalar_space is not None else scalar_codomain(dom.field)
+    scal = scalar_codomain()
     cap = Fraction(ceil_sqrt_int(upper))
 
     def make_op(i: int) -> OperatorName:
@@ -568,13 +566,6 @@ def frame_operator(G: GFrameName, norms: NormsOracle,
     return G.derived(("frame-operator", norms, ao), build)
 
 
-def _cached_inverse(G: GFrameName, norms: NormsOracle,
-                    ao: AnalysisOracle) -> OperatorName:
-    return G.derived(("inverse-frame-operator", norms, ao),
-                     lambda: invert_frame_operator(
-                         frame_operator(G, norms, ao), G.lower, G.upper))
-
-
 # ---------------------------------------------------------------------------
 # certified inversion
 
@@ -674,8 +665,15 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
 def canonical_dual_pair(G: GFrameName, norms: NormsOracle,
                         ao: AnalysisOracle) -> tuple[GFrameName, AnalysisOracle]:
     """The canonical dual (op_i composed with the inverse frame operator)
-    together with its analysis oracle f -> <inverse f, f>."""
-    s_inv = _cached_inverse(G, norms, ao)
+    together with its analysis oracle f -> <inverse f, f>.
+
+    This is the one place the dual layer reaches the inverse frame
+    operator: the pseudo-inverse and the kernel constructions are built
+    from this pair.  The inverse is shared per (norms, ao), so every
+    dual built from the same oracles shares its iterates."""
+    s_inv = G.derived(("inverse-frame-operator", norms, ao),
+                      lambda: invert_frame_operator(
+                          frame_operator(G, norms, ao), G.lower, G.upper))
     cap = Fraction(ceil_sqrt_int(Fraction(1) / G.lower))
 
     def make_op(i: int) -> OperatorName:
@@ -692,24 +690,11 @@ def canonical_dual_pair(G: GFrameName, norms: NormsOracle,
     return dual, ao_dual
 
 
-def canonical_dual(G: GFrameName, norms: NormsOracle,
-                   ao: AnalysisOracle) -> GFrameName:
-    return canonical_dual_pair(G, norms, ao)[0]
-
-
 def pseudo_inverse(G: GFrameName, norms: NormsOracle,
                    ao: AnalysisOracle) -> OperatorName:
-    """f -> (op_i applied to the inverse image)_i, with normsq supplied
-    by the identity <inverse f, f> for the coefficient mass."""
-    s_inv = _cached_inverse(G, norms, ao)
-    ss = G.sum_space()
-
-    def program(f: VectorName) -> SumName:
-        g = s_inv.apply(f)
-        return SumName(ss, lambda i: G.op(i).apply(g), inner_product(g, f))
-
-    return OperatorName(G.dom, ss.descriptor,
-                        sqrt_upper(Fraction(1) / G.lower), program)
+    """The analysis map of the canonical dual: f -> (op_i applied to the
+    inverse image)_i, with normsq <inverse f, f>."""
+    return analysis(*canonical_dual_pair(G, norms, ao))
 
 
 def reconstruct(G: GFrameName, D: GFrameName, norms_G: NormsOracle,
@@ -748,6 +733,13 @@ def dual_from_left_inverse(G: GFrameName, phi: OperatorName,
                       phi.bound * phi.bound, sum_space=G.sum_space())
 
 
+def _combined_mass(a: SumName, b: SumName, sign: int) -> CReal:
+    """The squared norm of a + sign * b from the two masses and the
+    certified cross term."""
+    return creal_add(creal_add(a.normsq, b.normsq),
+                     creal_scale(Fraction(2 * sign), sum_inner_product(a, b)))
+
+
 def kernel_dual_pair(G: GFrameName, norms: NormsOracle, ao: AnalysisOracle,
                      psi: OperatorName) -> tuple[GFrameName, AnalysisOracle]:
     """Dual perturbed by a kernel operator: op_i of the dual sends f to
@@ -765,67 +757,50 @@ def kernel_dual_pair(G: GFrameName, norms: NormsOracle, ao: AnalysisOracle,
             "kernel operator fails the null condition: synthesis of psi "
             "on a basis vector is not zero")
 
-    s_inv = _cached_inverse(G, norms, ao)
-    ss = G.sum_space()
-    sqrt_b = sqrt_upper(G.upper)
-    op_cap = sqrt_b / G.lower + psi.bound
+    canonical, ao_c = canonical_dual_pair(G, norms, ao)
+    tplus = analysis(canonical, ao_c)
+    op_cap = sqrt_upper(G.upper) / G.lower + psi.bound
 
     def make_op(i: int) -> OperatorName:
-        lam = G.op(i)
+        can_i = canonical.op(i)
 
         def program(f: VectorName, i=i) -> VectorName:
-            return vec_add(lam.apply(s_inv.apply(f)), psi.apply(f).component(i))
+            return vec_add(can_i.apply(f), psi.apply(f).component(i))
 
-        return OperatorName(G.dom, lam.cod,
-                            min(lam.bound / G.lower + psi.bound, op_cap),
-                            program)
+        return OperatorName(G.dom, can_i.cod,
+                            min(can_i.bound + psi.bound, op_cap), program)
 
     dual = GFrameName(G.dom, make_op, Fraction(1) / G.upper,
-                      op_cap * op_cap, sum_space=ss)
+                      op_cap * op_cap, sum_space=G.sum_space())
 
     def ao_dual(f: VectorName) -> CReal:
-        g = s_inv.apply(f)
-        gmass = inner_product(g, f)
-        canonical = SumName(ss, lambda i: G.op(i).apply(g), gmass)
-        perturbed = psi.apply(f)
-        cross = sum_inner_product(canonical, perturbed)
-        return creal_add(creal_add(gmass, perturbed.normsq),
-                         creal_scale(Fraction(2), cross))
+        return _combined_mass(tplus.apply(f), psi.apply(f), 1)
 
     return dual, ao_dual
 
 
-def dual_from_kernel(G: GFrameName, norms: NormsOracle, ao: AnalysisOracle,
-                     psi: OperatorName) -> GFrameName:
-    return kernel_dual_pair(G, norms, ao, psi)[0]
-
-
 def kernel_from_dual(G: GFrameName, D: GFrameName, norms: NormsOracle,
                      ao: AnalysisOracle, ao_D: AnalysisOracle) -> OperatorName:
-    """Recover the kernel operator of a dual: f -> (D_i f - canonical_i f)_i
-    as a sum name, with the normsq assembled from the two masses and the
-    exact cross term."""
+    """Recover the kernel operator of a dual: f -> (D_i f - canonical_i f)_i,
+    the analysis of D minus the pseudo-inverse, as a sum name whose
+    normsq comes from the two masses and the exact cross term."""
     if not same_space(G.dom, D.dom):
         raise SpaceMismatchError("dual pair must share the domain")
-    s_inv = _cached_inverse(G, norms, ao)
+    tplus = pseudo_inverse(G, norms, ao)
+    d_ana = analysis(D, ao_D)
     ss = G.sum_space()
 
     def program(f: VectorName) -> SumName:
-        g = s_inv.apply(f)
-        gmass = inner_product(g, f)
-        d_name = SumName(ss, lambda i: D.op(i).apply(f), ao_D(f))
-        c_name = SumName(ss, lambda i: G.op(i).apply(g), gmass)
-        cross = sum_inner_product(d_name, c_name)
-        normsq = creal_sub(creal_add(ao_D(f), gmass),
-                           creal_scale(Fraction(2), cross))
+        d_coeffs = d_ana.apply(f).in_space(ss)
+        c_coeffs = tplus.apply(f)
 
         def comp(i: int) -> VectorName:
-            return vec_sub(D.op(i).apply(f), G.op(i).apply(g))
+            return vec_sub(d_coeffs.component(i), c_coeffs.component(i))
 
-        return SumName(ss, comp, normsq)
+        return SumName(ss, comp, _combined_mass(d_coeffs, c_coeffs, -1))
 
-    bound = sqrt_upper(D.upper) + sqrt_upper(G.upper) / G.lower
-    return OperatorName(G.dom, ss.descriptor, bound, program)
+    return OperatorName(G.dom, ss.descriptor, d_ana.bound + tplus.bound,
+                        program)
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +826,7 @@ def diagonal_gframe(space: SpaceDescriptor,
         if w == 0:
             raise ValueError("zero weights would break the lower bound")
         table[i] = Fraction(w)
-    scal = scalar_codomain(space.field)
+    scal = scalar_codomain()
 
     def weight(i: int) -> Fraction:
         return table.get(i, Fraction(1))
@@ -896,7 +871,7 @@ def block_gframe(space: SpaceDescriptor, width: int
         raise ValueError("block width must be positive")
     if space.dimension is not None:
         raise ValueError("block decomposition needs an infinite space")
-    cod = SpaceDescriptor(dimension=width, field=space.field)
+    cod = SpaceDescriptor(dimension=width)
 
     def make_op(i: int) -> OperatorName:
         def column(k: int, i=i) -> FiniteCombo:

@@ -1,8 +1,8 @@
 """Computable Hilbert spaces with declared orthonormal bases.
 
-A space is a descriptor (identity tag, dimension, scalar field); a point
-is a VectorName: an oracle producing, for each precision n, a finite
-rational combination of basis vectors within 2**-n of the point in norm.
+A space is a descriptor (identity tag and dimension); a point is a
+VectorName: an oracle producing, for each precision n, a finite rational
+combination of basis vectors within 2**-n of the point in norm.
 Finite combinations are the exact layer: inner products and squared
 norms of combinations are plain rationals, which is what makes every
 certificate in this library decidable.
@@ -12,9 +12,7 @@ That datum is genuinely extra: the representer assembly below has no way
 to recover it from evaluations, and fails with PrecisionExhaustionError
 when the claimed norm understates the coefficients it meets.
 
-The scalar field is rational/real throughout; descriptors accept a "C"
-tag for completeness but the vector operations here are instantiated
-over the real field.
+The scalar field is rational/real throughout.
 """
 
 from __future__ import annotations
@@ -61,17 +59,14 @@ class SpaceDescriptor:
     id tag; everything else is metadata.
     """
 
-    __slots__ = ("ident", "dimension", "field")
+    __slots__ = ("ident", "dimension")
 
-    def __init__(self, dimension: Optional[int] = None, field: str = "R",
+    def __init__(self, dimension: Optional[int] = None,
                  ident: Optional[int] = None):
         if dimension is not None and dimension <= 0:
             raise ValueError("dimension must be positive or None")
-        if field not in ("R", "C"):
-            raise ValueError("field must be 'R' or 'C'")
         self.ident = _next_space_id() if ident is None else ident
         self.dimension = dimension
-        self.field = field
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SpaceDescriptor) and other.ident == self.ident
@@ -88,7 +83,7 @@ class SpaceDescriptor:
 
     def __repr__(self) -> str:
         dim = "inf" if self.dimension is None else str(self.dimension)
-        return f"SpaceDescriptor(id={self.ident}, dim={dim}, field={self.field})"
+        return f"SpaceDescriptor(id={self.ident}, dim={dim})"
 
 
 def same_space(a: SpaceDescriptor, b: SpaceDescriptor) -> bool:
@@ -197,10 +192,6 @@ class FiniteCombo:
 
     def __repr__(self) -> str:
         return f"FiniteCombo({self.to_text()})"
-
-
-def combo(space: SpaceDescriptor, terms) -> FiniteCombo:
-    return FiniteCombo(space, terms)
 
 
 class VectorName:

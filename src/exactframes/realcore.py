@@ -28,8 +28,6 @@ from .errors import (
     PrecisionExhaustionError,
 )
 
-Rational = Fraction
-
 _RATIONAL_PATTERN = re.compile(r"^-?[0-9]+(?:/[1-9][0-9]*)?$")
 
 
@@ -307,10 +305,10 @@ class CRealSeq:
         return self._terms.lookup(i, self._fn, i)
 
     @classmethod
-    def from_values(cls, values: Sequence[Fraction],
-                    tail: Fraction = Fraction(0)) -> "CRealSeq":
+    def from_values(cls, values: Sequence[Fraction]) -> "CRealSeq":
+        """The given rationals, then zeros."""
         consts = [creal_from_rational(v) for v in values]
-        rest = creal_from_rational(tail)
+        rest = creal_from_rational(0)
         return cls(lambda i: consts[i] if i < len(consts) else rest)
 
 

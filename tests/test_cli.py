@@ -1,8 +1,10 @@
 import gc
+import re
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -139,13 +141,27 @@ class TestExitCodes:
         "space K 3\nvector e0 K 0:1\ngframe W K diagonal 5:2\n"
         "task frame-op W e0 precision 10\n",
         "space K 3\ngframe W K diagonal 0:2 0:3\n",
+        "space K 3\nvector a K 0:1\nvector b K 0:2\nsumspace S K\n"
+        "sumvec X S 0@a 0@b\ntask sum-inner X X precision 10\n",
+        "space H infinite\nspace H infinite\nvector f H 0:1\n"
+        "vector g H 0:1\ntask inner f g precision 10\n",
+        "space H infinite\nvector f H 0:1\nvector f H 0:2\n"
+        "task norm f precision 10\n",
     ], ids=["zero-weight", "zero-width", "finite-block", "finite-gallery",
-            "weight-out-of-range", "duplicate-weight"])
+            "weight-out-of-range", "duplicate-weight", "repeated-sumvec-slot",
+            "redeclared-space", "redeclared-vector"])
     def test_bad_declaration_is_a_parse_error(self, tmp_path, capsys, body):
         assert run_eval(tmp_path, "version 1\n" + body) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error: ")
         assert "Traceback" not in err
+
+    def test_kinds_have_separate_names(self, tmp_path, capsys):
+        text = ("version 1\nspace H infinite\nvector H H 0:3/5 1:4/5\n"
+                "sumspace H H\nsumvec H H 0@H\ntask norm H precision 10\n"
+                "task sum-inner H H precision 10\n")
+        assert run_eval(tmp_path, text) == 0
+        assert capsys.readouterr().out.count("value = 1\n") == 2
 
     def test_document_file_is_closed(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -244,6 +260,19 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == EXIT_EXHAUSTION
         assert "precision exhaustion" in proc.stderr
+
+
+class TestReadme:
+    def test_example_document_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Command line"):]
+        example = section.split("```text\n", 1)[1].split("```", 1)[0]
+        assert run_eval(tmp_path, example) == 0
+        precisions = [line.split()[-1] for line in example.splitlines()
+                      if line.startswith("task ")]
+        out = capsys.readouterr().out
+        assert precisions
+        assert re.findall(r"^error <= 2\^-(\d+)$", out, re.M) == precisions
 
 
 class TestSuiteCommand:

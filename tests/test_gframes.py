@@ -30,7 +30,6 @@ from exactframes import (
     creal_sqrt,
     diagonal_gframe,
     diagonal_operator,
-    dual_from_kernel,
     dual_from_left_inverse,
     frame_operator,
     gframe_from_corresponding,
@@ -655,7 +654,7 @@ class TestKernelDuals:
         ss = G.sum_space()
         psi0 = OperatorName(H, ss.descriptor, F(0),
                             lambda f: SumName.zero(ss))
-        dual = dual_from_kernel(G, norms, ao, psi0)
+        dual = kernel_dual_pair(G, norms, ao, psi0)[0]
         got = scalar_value(dual.op(0).apply(basis_vector(H, 0)))
         assert abs(got - F(1, 2)) <= pow2(-24)
 
@@ -681,6 +680,20 @@ class TestKernelDuals:
             assert vec_norm(out.component(i)).approx(25) <= pow2(-25)
         assert abs(out.normsq.approx(20)) <= pow2(-18)
 
+    def test_kernel_round_trip(self, H, redundant):
+        G, norms, ao = redundant
+        psi = self._psi(G, H)
+        dual, ao_d = kernel_dual_pair(G, norms, ao, psi)
+        recovered = kernel_from_dual(G, dual, norms, ao, ao_d)
+        for terms in ({0: 1}, {0: F(-2, 3), 1: F(1, 2)}, {1: 1, 3: F(1, 5)}):
+            f = vec(H, terms)
+            got, want = recovered.apply(f), psi.apply(f)
+            for i in range(5):
+                gap = vec_distance(got.component(i), want.component(i))
+                assert gap.approx(25) <= pow2(-25)
+            assert abs(got.normsq.approx(25) - want.normsq.approx(25)) \
+                <= pow2(-24)
+
     def test_violating_kernel_rejected(self, H, weighted):
         G, norms, ao = weighted
         ss = G.sum_space()
@@ -698,7 +711,7 @@ class TestKernelDuals:
 
         bad = OperatorName(H, ss.descriptor, F(1), program)
         with pytest.raises(InvariantViolationError):
-            dual_from_kernel(G, norms, ao, bad)
+            kernel_dual_pair(G, norms, ao, bad)[0]
 
 
 _weights = st.dictionaries(st.integers(0, 5),
@@ -739,6 +752,29 @@ class TestExactClosure:
         out = frame_operator(G, norms, ao).apply(vec(H, coeffs))
         assert out.exact_combo == combo(
             H, {i: weights.get(i, 1) ** 2 * q for i, q in coeffs.items()})
+
+    @settings(max_examples=10, deadline=None)
+    @given(weights=st.dictionaries(st.integers(0, 3),
+                                   st.sampled_from([F(1, 2), F(1), F(2)])),
+           coeffs=st.dictionaries(st.integers(0, 3),
+                                  st.fractions(-3, 3, max_denominator=9)))
+    def test_diagonal_canonical_dual_and_pseudo_inverse(self, weights, coeffs):
+        # the inverse frame operator divides coordinate i by w_i^2, so the
+        # canonical dual sends f to f_i / w_i and the pseudo-inverse's
+        # mass is the sum of f_i^2 / w_i^2
+        n = 16
+        H = SpaceDescriptor()
+        G, norms, ao = diagonal_gframe(H, weights)
+        dual, _ = canonical_dual_pair(G, norms, ao)
+        f = vec(H, coeffs)
+        out = pseudo_inverse(G, norms, ao).apply(f)
+        for i in range(5):
+            want = combo(G.op(i).cod, {0: coeffs.get(i, 0) / weights.get(i, 1)})
+            for got in (dual.op(i).apply(f), out.component(i)):
+                assert got.approx(n).sub(want).norm_squared() <= pow2(-2 * n)
+        mass = sum((q * q / weights.get(i, 1) ** 2 for i, q in coeffs.items()),
+                   F(0))
+        assert abs(out.normsq.approx(n) - mass) <= pow2(-n)
 
     # a [1/4, 9] window takes up to 10 s an example, hence the few examples
     @settings(max_examples=5, deadline=None)
