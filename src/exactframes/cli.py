@@ -36,7 +36,8 @@ Task operations:
 adjoint (requires a declared gate), `dual-apply` the gated dual of an
 upper-toeplitz construction, `frame-op` the frame operator (canonical
 for g-frames, the gated loaded-column one for column-lower galleries),
-and `reconstruct` the canonical-dual reconstruction.
+and `reconstruct` the canonical-dual reconstruction.  A g-frame and a
+gallery construction may not share a name.
 
 Exit codes: 0 ok, 2 parse/validation error, 3 unresolved reference,
 4 precision exhaustion, 5 invariant violation.
@@ -339,19 +340,21 @@ def _declare_gallery(reg: Registry, rest: list[str]) -> None:
 def build_registry(doc: SpecDocument) -> Registry:
     reg = Registry()
     # each kind of name has its own table: a space and a vector may share
-    # a name, two spaces may not
+    # a name, two spaces may not; g-frames and gallery constructions share
+    # one namespace, since frame-op takes either
+    constructions = (reg.gframes, reg.gallery)
     handlers = {
-        "space": (_declare_space, reg.spaces),
-        "vector": (_declare_vector, reg.vectors),
-        "sumspace": (_declare_sumspace, reg.sumspaces),
-        "sumvec": (_declare_sumvec, reg.sumvecs),
-        "gframe": (_declare_gframe, reg.gframes),
-        "gallery": (_declare_gallery, reg.gallery),
+        "space": (_declare_space, (reg.spaces,)),
+        "vector": (_declare_vector, (reg.vectors,)),
+        "sumspace": (_declare_sumspace, (reg.sumspaces,)),
+        "sumvec": (_declare_sumvec, (reg.sumvecs,)),
+        "gframe": (_declare_gframe, constructions),
+        "gallery": (_declare_gallery, constructions),
     }
     for head, rest in doc.declarations:
-        handler, table = handlers[head]
+        handler, tables = handlers[head]
         name = rest[0] if rest else ""
-        if name in table:
+        if any(name in table for table in tables):
             raise SpecParseError(f"{head} {name!r} is already declared")
         try:
             handler(reg, rest)

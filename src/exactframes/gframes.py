@@ -27,10 +27,7 @@ from .realcore import (
     CReal,
     CRealSeq,
     _Memo,
-    _exact_prefix_count,
-    _term_limit,
     bits_for,
-    certified_tail_cut,
     creal_add,
     creal_from_rational,
     creal_mul,
@@ -39,14 +36,17 @@ from .realcore import (
     creal_sum,
     dyadic_round,
     pow2,
-    prec_for,
-    square_partial_sums,
 )
+# kept for bench/tests/test_bench.py, whose tracer check reads this name
+from .realcore import certified_tail_cut  # noqa: F401
 from .hilbert import (
     FiniteCombo,
     FunctionalName,
     SpaceDescriptor,
     VectorName,
+    _bessel_expansion,
+    _bessel_sum,
+    _rational_sqrt,
     basis_vector,
     ceil_sqrt_int,
     inner_product,
@@ -447,46 +447,13 @@ def gframe_from_corresponding(F: FrameName, sys: InnerSystem,
 # synthesis / analysis / frame operator
 
 
-def _bessel_expansion(space: SpaceDescriptor, coeff: Callable[[int], CReal],
-                      atom: Callable[[int], VectorName], count: Optional[int],
-                      total: Callable[[], CReal], upper: Fraction,
-                      what: str) -> VectorName:
-    """The sum of coeff(k) * atom(k) over k < count, or over every k
-    when count is None, for atoms forming a Bessel sequence with bound
-    upper.
-
-    An infinite sum is cut against total(), the claimed square sum of
-    the coefficients: the synthesis tail is at most sqrt(upper) times
-    the l2 coefficient tail.  A finite sum never asks for the total."""
-    if count is not None:
-        return linear_combination(
-            space, [(coeff(k), atom(k)) for k in range(count)])
-
-    total_sq = total()
-    b_up = sqrt_upper(upper, bits=4) ** 2
-    coeffs = CRealSeq(coeff)
-    partial = square_partial_sums(coeffs)
-
-    def fn(n: int) -> FiniteCombo:
-        theta = pow2(-(2 * n + 4)) / (2 * b_up)
-        cut = certified_tail_cut(total_sq, partial, theta, prec_for(theta),
-                                 _term_limit(n), what=what)
-        pairs = [(coeffs.at(k), atom(k)) for k in range(cut)]
-        return linear_combination(space, pairs).approx(n + 1)
-
-    return VectorName(space, fn)
-
-
 def synthesis(G: GFrameName, norms: NormsOracle) -> OperatorName:
     """The map (f_i) -> sum of adjoint(op_i) f_i, certified end to end.
 
-    norms feeds the corresponding-frame columns; the outer truncation is
-    certified from the input's normsq datum (tail of the sum bounded by
-    sqrt(upper) times the certified component tail).  An exact normsq
-    that the exact component square sums meet at one of the first
-    doubling counts, with every component adjoint below it exact, gives
-    the exact sum of those adjoints.  Repeated calls with the same norms
-    oracle return one shared name."""
+    norms feeds the corresponding-frame columns; the sum of the
+    component adjoints is the _bessel_sum cut against the input's normsq
+    datum.  Repeated calls with the same norms oracle return one shared
+    name."""
     return G.derived(("synthesis", norms),
                      lambda: _build_synthesis(G, norms))
 
@@ -496,8 +463,6 @@ def _build_synthesis(G: GFrameName, norms: NormsOracle) -> OperatorName:
         G, OrthonormalRows(lambda i: G.op(i).cod), norms))
     ss = G.sum_space()
     H = G.dom
-    sqrt_b = sqrt_upper(G.upper, bits=4)
-    b_up = sqrt_b * sqrt_b
 
     def program(F: SumName) -> VectorName:
         adj = _Memo()
@@ -512,32 +477,12 @@ def _build_synthesis(G: GFrameName, norms: NormsOracle) -> OperatorName:
                 lambda j: corr.vec(i, j), cod.dimension,
                 lambda: inner_product(fi, fi), G.upper, "component expansion")
 
-        count = _exact_prefix_count(F.normsq, F.normsq_partial)
-        if count is not None:
-            acc = FiniteCombo(H, {})
-            for i in range(count):
-                fi_adj = adj.lookup(i, component_adj, i).exact_combo
-                if fi_adj is None:
-                    break
-                acc = acc.add(fi_adj)
-            else:
-                return VectorName.from_combo(acc)
+        return _bessel_sum(H, lambda i: adj.lookup(i, component_adj, i),
+                           F.normsq, F.normsq_partial, G.upper,
+                           "input norm datum")
 
-        def fn(n: int) -> FiniteCombo:
-            theta = pow2(-(2 * n + 4)) / (2 * b_up)
-            count = certified_tail_cut(F.normsq, F.normsq_partial, theta,
-                                       prec_for(theta), _term_limit(n),
-                                       what="input norm datum")
-            pad = count.bit_length() + 1
-            acc = FiniteCombo(H, {})
-            for i in range(count):
-                fi_adj = adj.lookup(i, component_adj, i)
-                acc = acc.add(fi_adj.approx(n + 1 + pad))
-            return acc
-
-        return VectorName(H, fn)
-
-    return OperatorName(ss.descriptor, H, sqrt_b, program)
+    return OperatorName(ss.descriptor, H, sqrt_upper(G.upper, bits=4),
+                        program)
 
 
 def analysis(G: GFrameName, ao: AnalysisOracle) -> OperatorName:
@@ -913,9 +858,13 @@ def atoms_gframe(space: SpaceDescriptor, prefix: Sequence[FiniteCombo],
         return basis_vector(space, i + tail_offset)
 
     def atom_norm(i: int) -> CReal:
-        if i < P:
-            return creal_sqrt(creal_from_rational(prefix[i].norm_squared()))
-        return creal_from_rational(1)
+        if i >= P:
+            return creal_from_rational(1)
+        q = prefix[i].norm_squared()
+        root = _rational_sqrt(q)
+        if root is not None:
+            return creal_from_rational(root)
+        return creal_sqrt(creal_from_rational(q))
 
     G = riesz_correspondence(lambda i: (atom(i), atom_norm(i)), lower, upper)
 

@@ -27,6 +27,7 @@ from .errors import SpaceMismatchError
 from .realcore import (
     CReal,
     CRealSeq,
+    PrefixSums,
     _exact_prefix_count,
     _term_limit,
     bits_for,
@@ -38,8 +39,8 @@ from .realcore import (
     dyadic_round,
     format_rational,
     pow2,
+    prec_for,
     quantize_precision,
-    square_partial_sums,
 )
 
 _space_counter = itertools.count(1)
@@ -289,6 +290,17 @@ def vec_lincomb(a: Fraction, x: VectorName, b: Fraction, y: VectorName) -> Vecto
         lambda n: x.approx(n + s).scale(a).add(y.approx(n + s).scale(b)))
 
 
+def _combo_sum(space: SpaceDescriptor,
+               combos: Iterable[FiniteCombo]) -> FiniteCombo:
+    """The sum of the combinations, added into one table: the same
+    rationals as repeated FiniteCombo.add."""
+    acc: dict[int, Fraction] = {}
+    for c in combos:
+        for k, q in c.terms:
+            acc[k] = acc.get(k, 0) + q
+    return FiniteCombo(space, acc)
+
+
 Coefficient = Union[Fraction, CReal]
 
 
@@ -383,53 +395,87 @@ def riesz_functional(y: VectorName, ynorm: CReal) -> FunctionalName:
     return FunctionalName(y.space, lambda f: inner_product(f, y), ynorm)
 
 
+def _bessel_sum(space: SpaceDescriptor, term: Callable[[int], VectorName],
+                total: CReal, partial_at: Callable[[int], CReal],
+                upper: Fraction, what: str) -> VectorName:
+    """The sum of term(i) over every i, given that the squared norm of
+    the tail past N is at most upper * (total - partial_at(N)) (after
+    W. Sun: a Bessel sequence with bound upper and claimed coefficient
+    square sum total).  term(i) is asked for again at each precision.
+
+    Exact terms below an _exact_prefix_count give their exact sum.
+    Otherwise precision n cuts at theta = 2**-(2n+4) / (2 b), b = upper
+    if it is a rational square, else sqrt_upper(upper, 4)**2, and adds
+    the terms at precision n + 2 + count.bit_length(); an understated
+    total raises PrecisionExhaustionError naming what.
+    """
+    count = _exact_prefix_count(total, partial_at)
+    if count is not None:
+        prefix = []
+        for i in range(count):
+            c = term(i).exact_combo
+            if c is None:
+                break
+            prefix.append(c)
+        else:
+            return VectorName.from_combo(_combo_sum(space, prefix))
+    b_up = (upper if _rational_sqrt(upper) is not None
+            else sqrt_upper(upper, bits=4) ** 2)
+
+    def fn(n: int) -> FiniteCombo:
+        theta = pow2(-(2 * n + 4)) / (2 * b_up)
+        count = certified_tail_cut(total, partial_at, theta, prec_for(theta),
+                                   _term_limit(n), what=what)
+        pad = count.bit_length() + 1
+        return _combo_sum(space, (term(i).approx(n + 1 + pad)
+                                  for i in range(count)))
+
+    return VectorName(space, fn)
+
+
+def _bessel_expansion(space: SpaceDescriptor, coeff: Callable[[int], CReal],
+                      atom: Callable[[int], VectorName], count: Optional[int],
+                      total: Callable[[], CReal], upper: Fraction,
+                      what: str) -> VectorName:
+    """The sum of coeff(k) * atom(k) over k < count, or over every k
+    when count is None, for atoms forming a Bessel sequence with bound
+    upper.
+
+    An infinite sum is the _bessel_sum of the products, cut against
+    total(), the claimed square sum of the coefficients.  A finite sum
+    is a linear_combination and never asks for the total."""
+    if count is not None:
+        return linear_combination(
+            space, [(coeff(k), atom(k)) for k in range(count)])
+    coeffs = CRealSeq(coeff)
+    squares = PrefixSums()
+
+    def product(k: int) -> VectorName:
+        return linear_combination(space, [(coeffs.at(k), atom(k))])
+
+    def square(k: int) -> CReal:
+        c = coeffs.at(k)
+        return creal_mul(c, c)
+
+    return _bessel_sum(space, product, total(),
+                       lambda count: squares.upto(count, square), upper, what)
+
+
 def vector_from_coefficients(space: SpaceDescriptor,
                              coeff: Callable[[int], CReal],
                              total_sq: CReal) -> VectorName:
     """Assemble the vector with basis coordinates coeff(k), certifying
     truncation against total_sq, the claimed sum of squared coordinates.
 
-    For a finite-dimensional space all coordinates are taken and only
-    coefficient rounding enters the budget.  Otherwise the cut point N
-    doubles from 4 until total_sq minus the partial square sum is
-    certified below 2**-(2n+2) at comparison precision 2n+4 (a tie
-    verdict counts: its slack is inside the budget).  A certificate that
-    goes provably negative means the claim understates the data and
-    raises PrecisionExhaustionError, as does passing the fixed limit of
-    2**(n + 16) terms (an overstated claim never closes).
-
-    On an infinite space, an exact total_sq that the exact partial
-    square sum meets at one of the first doubling counts (see
-    _exact_prefix_count) makes the result the exact name of the
-    coefficients below that count.  Every other case takes the
-    certified path above, so a false claim fails at approx as before.
+    This is the _bessel_expansion over the basis (Bessel bound 1).  On a
+    finite space total_sq is never read and exact coordinates give an
+    exact name.  On an infinite space a claim that understates the
+    coordinates raises PrecisionExhaustionError, as does passing the
+    fixed limit of 2**(n + 16) terms (an overstated claim never closes).
     """
-    coeffs = CRealSeq(coeff)
-    partial = square_partial_sums(coeffs)
-    if space.dimension is None:
-        count = _exact_prefix_count(total_sq, partial)
-        if count is not None:
-            values = [coeffs.at(k).exact_value for k in range(count)]
-            if all(v is not None for v in values):
-                return VectorName.from_combo(FiniteCombo(space, enumerate(values)))
-
-    def cut_point(n: int) -> int:
-        return certified_tail_cut(
-            total_sq, partial, pow2(-(2 * n + 2)), 2 * n + 4,
-            _term_limit(n), what="coordinate square sum")
-
-    def fn(n: int) -> FiniteCombo:
-        count = space.dimension if space.dimension is not None else cut_point(n)
-        # coordinate rounding: sqrt(count) * 1.5 * 2^-m <= 2^-(n+2)
-        m = n + 3 + (count.bit_length() + 1) // 2
-        terms = {}
-        for k in range(count):
-            v = dyadic_round(coeffs.at(k).approx(m), m)
-            if v:
-                terms[k] = v
-        return FiniteCombo(space, terms)
-
-    return VectorName(space, fn)
+    return _bessel_expansion(
+        space, coeff, lambda k: basis_vector(space, k), space.dimension,
+        lambda: total_sq, Fraction(1), "coordinate square sum")
 
 
 def riesz_representer(F: FunctionalName) -> VectorName:
@@ -451,6 +497,13 @@ def sqrt_upper(q: Fraction, bits: int = 8) -> Fraction:
         raise ValueError("negative input")
     root = math.isqrt(q.numerator * q.denominator << (2 * bits))
     return Fraction(root + 1, q.denominator << bits)
+
+
+def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    """sqrt(q) when it is rational, else None; q >= 0."""
+    q = Fraction(q)
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    return root if root * root == q else None
 
 
 def ceil_sqrt_int(q: Fraction) -> int:

@@ -350,17 +350,6 @@ class PrefixSums:
         return got
 
 
-def square_partial_sums(xs: CRealSeq) -> Callable[[int], CReal]:
-    """count -> the sum of the squares of the first count terms of xs."""
-    sums = PrefixSums()
-
-    def square(k: int) -> CReal:
-        x = xs.at(k)
-        return creal_mul(x, x)
-
-    return lambda count: sums.upto(count, square)
-
-
 def creal_limit(xs: CRealSeq, modulus: Callable[[int], int]) -> CReal:
     """Effective limit of a sequence with an explicit convergence modulus.
 

@@ -147,9 +147,12 @@ class TestExitCodes:
         "vector g H 0:1\ntask inner f g precision 10\n",
         "space H infinite\nvector f H 0:1\nvector f H 0:2\n"
         "task norm f precision 10\n",
+        "space H infinite\nvector e0 H 0:1\ngframe N H diagonal 0:2\n"
+        "gallery N column-lower H enum 1 gate 1/16\n"
+        "task frame-op N e0 precision 10\n",
     ], ids=["zero-weight", "zero-width", "finite-block", "finite-gallery",
             "weight-out-of-range", "duplicate-weight", "repeated-sumvec-slot",
-            "redeclared-space", "redeclared-vector"])
+            "redeclared-space", "redeclared-vector", "gframe-and-gallery"])
     def test_bad_declaration_is_a_parse_error(self, tmp_path, capsys, body):
         assert run_eval(tmp_path, "version 1\n" + body) == EXIT_PARSE
         err = capsys.readouterr().err

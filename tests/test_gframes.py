@@ -24,6 +24,7 @@ from exactframes import (
     analysis,
     atoms_gframe,
     basis_vector,
+    block_gframe,
     canonical_dual_pair,
     corresponding_frame,
     creal_from_rational,
@@ -53,6 +54,7 @@ from exactframes import (
     vec_distance,
     vec_lincomb,
     vec_norm,
+    vector_from_coefficients,
     zero_operator,
 )
 from exactframes import directsum, gallery, gframes, hilbert, realcore
@@ -483,7 +485,6 @@ class TestInversion:
 
 class TestBlockGFrame:
     def test_block_components(self, H):
-        from exactframes import block_gframe
         G, norms, ao = block_gframe(H, 2)
         f = vec(H, {0: F(1, 3), 3: F(-2)})
         out0 = G.op(0).apply(f).approx(25)
@@ -492,7 +493,6 @@ class TestBlockGFrame:
         assert abs(out1.coeff(1) + 2) <= pow2(-24)
 
     def test_block_is_tight(self, H):
-        from exactframes import block_gframe
         G, norms, ao = block_gframe(H, 3)
         dual, ao_d = canonical_dual_pair(G, norms, ao)
         f = vec(H, {0: F(1, 3), 4: F(5, 8), 7: F(-1)})
@@ -500,6 +500,75 @@ class TestBlockGFrame:
         assert vec_distance(u, f).approx(25) <= pow2(-25)
         S = frame_operator(G, norms, ao)
         assert vec_distance(S.apply(f), f).approx(25) <= pow2(-25)
+
+    @settings(max_examples=20, deadline=None)
+    @given(width=st.integers(1, 3),
+           coeffs=st.dictionaries(st.integers(0, 7),
+                                  st.fractions(-3, 3, max_denominator=9)))
+    def test_block_against_exact_values(self, width, coeffs):
+        # a tight frame with bounds 1: the frame operator is the identity,
+        # the canonical dual is the frame itself and the pseudo-inverse
+        # keeps the mass
+        n = 16
+        H = SpaceDescriptor()
+        G, norms, ao = block_gframe(H, width)
+        f = vec(H, coeffs)
+        assert frame_operator(G, norms, ao).apply(f).exact_combo == f.exact_combo
+        dual, ao_d = canonical_dual_pair(G, norms, ao)
+        out = pseudo_inverse(G, norms, ao).apply(f)
+        for i in range(8 // width + 1):
+            want = combo(G.op(i).cod, {j: coeffs.get(i * width + j, 0)
+                                       for j in range(width)})
+            assert G.op(i).apply(f).exact_combo == want
+            for got in (dual.op(i).apply(f), out.component(i)):
+                assert got.approx(n).sub(want).norm_squared() <= pow2(-2 * n)
+        mass = sum((q * q for q in coeffs.values()), F(0))
+        assert abs(out.normsq.approx(n) - mass) <= pow2(-n)
+        for n in (16, 32):
+            got = reconstruct(G, dual, norms, f, ao_d).approx(n)
+            assert got.sub(f.exact_combo).norm_squared() <= pow2(-2 * n)
+
+
+def _understated_coordinates(H):
+    # coordinate 0 is 1, its claimed square sum 1/2
+    return vector_from_coefficients(
+        H, lambda k: creal_from_rational(1 if k == 0 else 0),
+        creal_from_rational(F(1, 2)))
+
+
+def _understated_row_coefficients(H):
+    # one infinite row, the basis of H, with a claimed coefficient mass 0
+    G = GFrameName(H, lambda i: identity_operator(H) if i == 0
+                   else zero_operator(H, H), F(1), F(1))
+    row = RowFrame(lambda j: basis_vector(H, j), None, F(1), F(1),
+                   identity_operator(H))
+    sys = FrameRows(lambda i: row, F(1), F(1))
+    corr = corresponding_frame(
+        G, sys, lambda i, j: creal_from_rational(1 if i == 0 else 0))
+    G2 = gframe_from_corresponding(corr, sys,
+                                   lambda f, i: creal_from_rational(0))
+    return G2.op(0).apply(basis_vector(H, 0))
+
+
+def _understated_input_norm(H):
+    # component 0 has squared norm 1, the claimed normsq is 1/2
+    G, norms, _ = diagonal_gframe(H)
+    ss = G.sum_space()
+    F0 = SumName(ss, lambda i: VectorName.from_combo(
+        combo(ss.component(i), {0: 1} if i == 0 else {})),
+        creal_from_rational(F(1, 2)))
+    return synthesis(G, norms).apply(F0)
+
+
+@pytest.mark.parametrize("what, build", [
+    ("coordinate square sum", _understated_coordinates),
+    ("row coefficient oracle", _understated_row_coefficients),
+    ("input norm datum", _understated_input_norm),
+], ids=["coordinate-square-sum", "row-coefficient-oracle", "input-norm-datum"])
+def test_understated_claim_names_its_datum(H, what, build):
+    with pytest.raises(PrecisionExhaustionError,
+                       match=f"^{what}: claimed total understates the data"):
+        build(H).approx(20)
 
 
 class TestValidation:
@@ -799,11 +868,17 @@ class TestExactClosure:
         for module in (realcore, hilbert, directsum, gframes, gallery):
             if hasattr(module, "certified_tail_cut"):
                 monkeypatch.setattr(module, "certified_tail_cut", counting)
-        G, norms, ao = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
-        out = frame_operator(G, norms, ao).apply(
-            vec(H, {0: F(1, 3), 1: F(-2, 5), 4: F(1, 7)}))
-        assert out.approx(32) == combo(H, {0: F(4, 3), 1: F(-1, 10), 4: F(1, 7)})
-        assert cuts == []
+        f = {0: F(1, 3), 1: F(-2, 5), 4: F(1, 7)}
+        frames = [
+            (diagonal_gframe(H, {0: F(2), 1: F(1, 2)}), {0: 4, 1: F(1, 4)}),
+            # atoms e0, e0, e1, e2, ...: exact unit norms, operator diag(2, 1, ...)
+            (atoms_gframe(H, [combo(H, {0: 1})] * 2, -1, F(1), F(2))[:3], {0: 2}),
+        ]
+        for (G, norms, ao), weight in frames:
+            out = frame_operator(G, norms, ao).apply(vec(H, f))
+            assert out.approx(32) == combo(
+                H, {k: weight.get(k, 1) * q for k, q in f.items()})
+            assert cuts == []
 
     def test_exact_evaluations(self, H):
         G = riesz_correspondence(

@@ -280,6 +280,12 @@ class TestExactClosure:
             assert exact_path.exact_combo == combo(H, values)
         assert_same_outcomes(exact_path, certified_path)
 
+    def test_exact_coordinates_on_a_finite_space_give_an_exact_name(self):
+        K = SpaceDescriptor(dimension=3)
+        v = vector_from_coefficients(
+            K, lambda k: creal_from_rational(F(k + 1, 3)), creal_from_rational(0))
+        assert v.exact_combo == combo(K, {0: F(1, 3), 1: F(2, 3), 2: 1})
+
     def test_mass_past_a_met_claim_is_dropped_on_both_paths(self, H):
         values = {0: F(1), 5: F(1)}
         coeff = lambda k: creal_from_rational(values.get(k, F(0)))
