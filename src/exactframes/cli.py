@@ -36,8 +36,10 @@ Task operations:
 adjoint (requires a declared gate), `dual-apply` the gated dual of an
 upper-toeplitz construction, `frame-op` the frame operator (canonical
 for g-frames, the gated loaded-column one for column-lower galleries),
-and `reconstruct` the canonical-dual reconstruction.  A g-frame and a
-gallery construction may not share a name.
+and `reconstruct` the canonical-dual reconstruction S(S^-1 f), read
+through the frame operator S at linear precision.  A claimed spectral
+window that the inversion's residuals prove false exits 5.  A g-frame
+and a gallery construction may not share a name.
 
 Exit codes: 0 ok, 2 parse/validation error, 3 unresolved reference,
 4 precision exhaustion, 5 invariant violation.

@@ -12,6 +12,7 @@ it meets.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .realcore import (
     CRealSeq,
     _Memo,
     bits_for,
+    ceil_int,
     creal_add,
     creal_from_rational,
     creal_mul,
@@ -165,6 +167,7 @@ def operator_compose(outer: OperatorName, inner: OperatorName,
 
 
 _SUM_SPACE = ("sum space",)
+_CANONICAL_OF = ("canonical dual of",)
 
 
 class GFrameName:
@@ -529,15 +532,24 @@ def _iteration_count(gbound: Fraction, lower: Fraction, upper: Fraction,
 
 def richardson_iterate(S: OperatorName, lower: Fraction, upper: Fraction,
                        g: VectorName, steps: int, precision: int) -> FiniteCombo:
-    """Run u <- u + omega (g - S u), omega = 2/(lower+upper), for a fixed
-    number of steps and return the exact iterate.
+    """Run u <- u + omega (g - S u), omega = 2/(lower+upper), for at most
+    steps steps and return the exact iterate.
 
-    Step k runs at operand precision precision + (steps - k) + 3 plus a
-    shift absorbing omega, so the perturbation series is dominated by a
+    Step k runs at operand precision p = precision + (steps - k) + 3 plus
+    a shift absorbing omega, so the perturbation series is dominated by a
     geometric sum; the result is within
-    rho**steps * (||g||/lower) + 2**-(precision+2) of the true inverse
-    image, rho = (upper-lower)/(upper+lower).  Iterate growth beyond the
-    spectral envelope raises SpectralHypothesisError.
+    rho**steps * (||g||/lower) + 2**-(precision+1) of the true inverse
+    image, rho = (upper-lower)/(upper+lower).
+
+    Each step also certifies its residual.  The computed residual r~_k
+    is within eps_k = 2**-(p-1) of r_k = g - S u_k.  Under the window,
+    ||r_(k+1)|| <= rho ||r_k|| + delta_k with delta_k = upper * (omega
+    eps_k + 2**-(p+2)) (the residual error and the grid snap pushed
+    through S), so a residual that provably breaks this bound raises
+    SpectralHypothesisError.  Once ||r~_k|| + eps_k <= (3/4) lower *
+    2**-(precision+1), u_k is within (3/4) 2**-(precision+1) of the
+    inverse image; it is returned early, snapped to a grid that adds at
+    most 2**-(precision+3).
     """
     lower, upper = Fraction(lower), Fraction(upper)
     if not (0 < lower <= upper):
@@ -545,22 +557,42 @@ def richardson_iterate(S: OperatorName, lower: Fraction, upper: Fraction,
     if not same_space(S.dom, S.cod):
         raise SpaceMismatchError("inversion needs an endomorphism")
     omega = Fraction(2) / (lower + upper)
+    rho = (upper - lower) / (upper + lower)
     shift = bits_for(2 * omega + 1)
-    gbound = Fraction(g.approx(0).norm_upper() + 1)
-    envelope = 2 * gbound / lower + 3
+    # residual norms are bounded in integer units of 2**-(p+4): eps_k is
+    # 32 units, eps_(k+1) 64 and the snap 4, so delta_k is at most drift
+    drift = ceil_int(upper * (32 * omega + 4))
     u = FiniteCombo(S.dom, {})
+    allowed = None              # the bound on ||r~_k|| the window implies
     for k in range(steps):
         p = precision + (steps - k) + 3 + shift
         su = S.apply(VectorName.from_combo(u)).approx(p)
-        gq = g.approx(p)
-        u = u.add(gq.sub(su).scale(omega))
-        grid = p + (len(u.terms).bit_length() + 1) // 2 + 1
-        u = u.rounded(grid)
-        if u.norm_upper() > envelope:
+        r = g.approx(p).sub(su)
+        low, high = _norm_bounds(r, p + 4)
+        # a unit of this step is two units of the last one
+        if allowed is not None and 2 * low > allowed:
             raise SpectralHypothesisError(
-                "iterates escaped the spectral envelope; the claimed "
-                "spectral window does not hold")
+                f"residual of step {k} exceeds the contraction bound; the "
+                "claimed spectral window does not hold")
+        # (3/4) lower 2**-(precision+1) in units
+        target = (3 * lower.numerator << (p - precision + 1)) // lower.denominator
+        if high + 32 <= target:
+            grid = precision + 2 + (len(u.terms).bit_length() + 1) // 2
+            return u.rounded(grid)
+        u = u.add(r.scale(omega))
+        grid = p + (len(u.terms).bit_length() + 1) // 2 + 1
+        u = u.rounded(grid)     # snap error <= 2**-(p+2)
+        allowed = ceil_int(rho * (high + 32)) + drift + 64
     return u
+
+
+def _norm_bounds(c: FiniteCombo, m: int) -> tuple[int, int]:
+    """Integers low <= ||c|| 2**m <= high."""
+    acc = 0                     # acc <= ||c||^2 4**m <= acc + len
+    for _, q in c.terms:
+        num, den = q.numerator, q.denominator
+        acc += (num * num << 2 * m) // (den * den)
+    return math.isqrt(acc), math.isqrt(acc + len(c.terms)) + 1
 
 
 def invert_frame_operator(S: OperatorName, lower: Fraction,
@@ -568,6 +600,14 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
     """Certified inverse of a self-adjoint operator with spectrum inside
     [lower, upper], realised by relaxation iteration with an explicit
     geometric rate.
+
+    The window is a claimed datum.  Every step checks that the residual
+    g - S u contracts as the window predicts and raises
+    SpectralHypothesisError when it provably does not; the iteration
+    stops once the residual certifies the answer (see
+    richardson_iterate).  A lower bound that overstates the spectrum
+    only where the residuals of g never show it stays undetectable, as
+    mass past a certified cut does.
 
     Every dual component and the dual's analysis mass apply the inverse
     to the same input, so the iterates are shared per input name and
@@ -589,9 +629,9 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
             with lock:
                 got = table.get(n)
             if got is None:
-                # extra steps cost nothing when the window holds (the map
-                # is a contraction) and give the divergence guard room to
-                # observe growth when it does not
+                # the residual certificate usually stops the iteration
+                # before the a-priori count; the extra steps give its
+                # contraction check room when the window does not hold
                 steps = _iteration_count(gbound, lower, upper, n) + 3
                 got = richardson_iterate(S, lower, upper, g, steps, n)
                 with lock:
@@ -615,10 +655,12 @@ def canonical_dual_pair(G: GFrameName, norms: NormsOracle,
     This is the one place the dual layer reaches the inverse frame
     operator: the pseudo-inverse and the kernel constructions are built
     from this pair.  The inverse is shared per (norms, ao), so every
-    dual built from the same oracles shares its iterates."""
+    dual built from the same oracles shares its iterates.  The dual
+    records the frame operator and the inverse it was built from, which
+    reconstruct reads."""
+    S = frame_operator(G, norms, ao)
     s_inv = G.derived(("inverse-frame-operator", norms, ao),
-                      lambda: invert_frame_operator(
-                          frame_operator(G, norms, ao), G.lower, G.upper))
+                      lambda: invert_frame_operator(S, G.lower, G.upper))
     cap = Fraction(ceil_sqrt_int(Fraction(1) / G.lower))
 
     def make_op(i: int) -> OperatorName:
@@ -632,6 +674,7 @@ def canonical_dual_pair(G: GFrameName, norms: NormsOracle,
     def ao_dual(f: VectorName) -> CReal:
         return inner_product(s_inv.apply(f), f)
 
+    dual.derived(_CANONICAL_OF, lambda: (G, norms, ao_dual, S, s_inv))
     return dual, ao_dual
 
 
@@ -645,9 +688,31 @@ def pseudo_inverse(G: GFrameName, norms: NormsOracle,
 def reconstruct(G: GFrameName, D: GFrameName, norms_G: NormsOracle,
                 f: VectorName, ao_D: AnalysisOracle) -> VectorName:
     """Synthesis of G applied to the analysis of the dual D at f; equal
-    to f whenever D really is a dual of G."""
+    to f whenever D really is a dual of G.
+
+    When (D, ao_D) is the pair canonical_dual_pair built for G from
+    norms_G, the sum is S(S^-1 f) (W. Sun, J. Math. Anal. Appl. 322,
+    2006).  It is evaluated as the frame operator S, bounded by its
+    bound B, applied to the exact iterate S^-1 f at precision
+    n + 1 + bits_for(B) and read at n + 1: linear in n, where the
+    synthesis of the dual's analysis cuts against the dual's mass at
+    about 2n bits.  This trusts B as the synthesis cut already does.
+    Every other dual is reconstructed through that composition."""
     if not same_space(G.dom, D.dom):
         raise SpaceMismatchError("dual pair must share the domain")
+    record = D.derived(_CANONICAL_OF, lambda: None)
+    if record is not None:
+        frame, norms, ao_dual, S, s_inv = record
+        if frame is G and norms is norms_G and ao_dual is ao_D:
+            u = s_inv.apply(f)
+            s = bits_for(S.bound)
+
+            def fn(n: int) -> FiniteCombo:
+                # bound * 2^-(n+1+s) <= 2^-(n+1) input error
+                exact_u = VectorName.from_combo(u.approx(n + 1 + s))
+                return S.apply(exact_u).approx(n + 1)
+
+            return VectorName(G.dom, fn)
     coeffs = analysis(D, ao_D).apply(f).in_space(G.sum_space())
     return synthesis(G, norms_G).apply(coeffs)
 

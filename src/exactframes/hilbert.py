@@ -433,24 +433,41 @@ def _bessel_sum(space: SpaceDescriptor, term: Callable[[int], VectorName],
     return VectorName(space, fn)
 
 
+def _coordinate(space: SpaceDescriptor, k: int, c: CReal) -> VectorName:
+    """The vector c e_k, its coefficient snapped to the dyadic grid at
+    each precision; exact when c is."""
+    if c.exact_value is not None:
+        return VectorName.from_combo(FiniteCombo(space, {k: c.exact_value}))
+
+    def fn(n: int) -> FiniteCombo:
+        # approximation 2^-(n+1) plus snap 2^-(n+2) stays within 2^-n
+        return FiniteCombo(space, {k: dyadic_round(c.approx(n + 1), n + 1)})
+
+    return VectorName(space, fn)
+
+
 def _bessel_expansion(space: SpaceDescriptor, coeff: Callable[[int], CReal],
-                      atom: Callable[[int], VectorName], count: Optional[int],
-                      total: Callable[[], CReal], upper: Fraction,
-                      what: str) -> VectorName:
+                      atom: Optional[Callable[[int], VectorName]],
+                      count: Optional[int], total: Callable[[], CReal],
+                      upper: Fraction, what: str) -> VectorName:
     """The sum of coeff(k) * atom(k) over k < count, or over every k
     when count is None, for atoms forming a Bessel sequence with bound
-    upper.
+    upper; atom None stands for the basis of space itself.
 
     An infinite sum is the _bessel_sum of the products, cut against
-    total(), the claimed square sum of the coefficients.  A finite sum
-    is a linear_combination and never asks for the total."""
+    total(), the claimed square sum of the coefficients.  Over the basis
+    each product is the coefficient placed at index k (_coordinate).  A
+    finite sum is a linear_combination and never asks for the total."""
     if count is not None:
+        atoms = atom or (lambda k: basis_vector(space, k))
         return linear_combination(
-            space, [(coeff(k), atom(k)) for k in range(count)])
+            space, [(coeff(k), atoms(k)) for k in range(count)])
     coeffs = CRealSeq(coeff)
     squares = PrefixSums()
 
     def product(k: int) -> VectorName:
+        if atom is None:
+            return _coordinate(space, k, coeffs.at(k))
         return linear_combination(space, [(coeffs.at(k), atom(k))])
 
     def square(k: int) -> CReal:
@@ -473,9 +490,9 @@ def vector_from_coefficients(space: SpaceDescriptor,
     coordinates raises PrecisionExhaustionError, as does passing the
     fixed limit of 2**(n + 16) terms (an overstated claim never closes).
     """
-    return _bessel_expansion(
-        space, coeff, lambda k: basis_vector(space, k), space.dimension,
-        lambda: total_sq, Fraction(1), "coordinate square sum")
+    return _bessel_expansion(space, coeff, None, space.dimension,
+                             lambda: total_sq, Fraction(1),
+                             "coordinate square sum")
 
 
 def riesz_representer(F: FunctionalName) -> VectorName:

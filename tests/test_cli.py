@@ -265,6 +265,45 @@ class TestSubprocessEntry:
         assert "precision exhaustion" in proc.stderr
 
 
+class TestFalseWindows:
+    """The frame atoms e0, e0, e1, e2, ... has the spectral window [1, 2].
+    A claimed window that does not hold exits 5 within seconds: the
+    residual certificate of the inversion sees it.  Without it the
+    claims 5/4 2, 3/2 2, 1 5/4 and 7/4 2 exited 4 on the dual's mass cut
+    or returned a wrong value, and 2 2 and 1 3/2 ran for minutes."""
+
+    SECONDS = 30
+
+    def _run(self, tmp_path, window):
+        path = tmp_path / "doc.spec"
+        path.write_text(
+            "version 1\nspace H infinite\nvector f H 0:1 1:1 2:1/3\n"
+            f"gframe G H atoms {window} -1 | 0:1 | 0:1\n"
+            "task reconstruct G f precision 16\n"
+            "task reconstruct G f precision 32\n")
+        return subprocess.run(
+            [sys.executable, "-m", "exactframes", "eval", str(path)],
+            capture_output=True, text=True, timeout=self.SECONDS)
+
+    @pytest.mark.parametrize("window", ["5/4 2", "3/2 2", "1 5/4", "7/4 2",
+                                        "2 2", "1 3/2"])
+    def test_false_window_is_an_invariant_violation(self, tmp_path, window):
+        proc = self._run(tmp_path, window)
+        assert proc.returncode == EXIT_INVARIANT
+        assert "spectral window does not hold" in proc.stderr
+
+    def test_true_window_reconstructs(self, tmp_path):
+        proc = self._run(tmp_path, "1 2")
+        assert proc.returncode == 0, proc.stderr
+        want = {0: F(1), 1: F(1), 2: F(1, 3)}
+        for report, n in zip(proc.stdout.split("\n\n"), (16, 32)):
+            got = {int(k): parse_rational(q) for k, q in
+                   (item.split(":") for item in
+                    report.splitlines()[1].split()[2:])}
+            assert sum((got.get(k, 0) - want.get(k, 0)) ** 2
+                       for k in set(got) | set(want)) <= pow2(-2 * n)
+
+
 class TestReadme:
     def test_example_document_runs(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

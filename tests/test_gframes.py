@@ -1,5 +1,7 @@
 import gc
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
@@ -59,6 +61,7 @@ from exactframes import (
 )
 from exactframes import directsum, gallery, gframes, hilbert, realcore
 from exactframes.realcore import creal_mul, creal_scale, pow2
+from exactframes.suites import _half_first_coordinate_kernel, standard_frames
 
 from conftest import (assert_same_outcomes, claimed_total, claims, combo,
                       exact_prefixes, finishes, random_combo, vec)
@@ -886,3 +889,152 @@ class TestExactClosure:
             F(1, 2), F(2))
         out = G.op(2).apply(vec(H, {2: 3, 3: F(1, 5)}))
         assert out.exact_combo == combo(out.space, {0: F(49, 25)})
+
+
+# the window [1/4, 1] or [1/2, 1] claimed for diag(1/16, 1, 1, ...): the
+# lower bound overstates the spectrum at e0
+_FALSE_LOWER_BOUND = """
+import sys
+from fractions import Fraction as F
+from exactframes import (FiniteCombo, SpaceDescriptor, SpectralHypothesisError,
+                         VectorName, diagonal_operator, invert_frame_operator)
+H = SpaceDescriptor()
+S = diagonal_operator(H, lambda k: F(1, 16) if k == 0 else F(1), F(1))
+inv = invert_frame_operator(S, F(sys.argv[1]), F(1))
+g = VectorName.from_combo(FiniteCombo(H, {0: F(1), 1: F(1)}))
+for n in (8, 16, 32):
+    try:
+        inv.apply(g).approx(n)
+    except SpectralHypothesisError:
+        continue
+    sys.exit(1)
+"""
+
+_window_ends = st.sampled_from([F(1, 4), F(1, 2), F(1), F(2), F(4), F(9)])
+
+
+class TestSpectralCertificate:
+    @pytest.mark.parametrize("lower", ["1/4", "1/2"])
+    def test_false_lower_bound_raises(self, lower):
+        proc = subprocess.run([sys.executable, "-c", _FALSE_LOWER_BOUND, lower],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+
+    # Left out as undetectable: a coordinate of f along an eigenvalue
+    # outside the window that is smaller than about lower * 2^-(n+1).  The
+    # residual of f never exceeds the stopping threshold there, so no
+    # check on it can see the false window, and the inverse image may be
+    # off on that coordinate by up to (lower / eigenvalue) * 2^-(n+1).
+    # Every nonzero coordinate drawn here is at least 1/9.
+    @settings(max_examples=25, deadline=None)
+    @given(weights=_weights, coeffs=_vectors, ends=st.tuples(_window_ends,
+                                                             _window_ends))
+    @example(weights={0: F(1, 2)}, coeffs={0: F(1), 1: F(1)},
+             ends=(F(1), F(4)))
+    @example(weights={0: F(3)}, coeffs={0: F(1), 1: F(-1, 3)},
+             ends=(F(1, 2), F(4)))
+    def test_diagonal_windows(self, weights, coeffs, ends):
+        lower, upper = sorted(ends)
+        n = 32
+        H = SpaceDescriptor()
+        G0, norms, ao = diagonal_gframe(H, weights)
+        G = GFrameName(H, G0.op, lower, upper)
+        dual, ao_d = canonical_dual_pair(G, norms, ao)
+        f = vec(H, coeffs)
+        # the iteration only meets the eigenvalues on the support of f
+        holds = all(lower <= weights.get(i, 1) ** 2 <= upper
+                    for i, q in coeffs.items() if q)
+        try:
+            got = reconstruct(G, dual, norms, f, ao_d).approx(n)
+            assert got.sub(f.exact_combo).norm_squared() <= pow2(-2 * n)
+            for i in range(6):
+                w = weights.get(i, 1)
+                want = combo(G.op(i).cod, {0: coeffs.get(i, 0) / w})
+                err = dual.op(i).apply(f).approx(n).sub(want).norm_squared()
+                assert err <= pow2(-2 * n)
+        except SpectralHypothesisError:
+            assert not holds
+
+    def test_true_window_steps_stay_within_the_a_priori_count(self, H, weighted,
+                                                              monkeypatch):
+        G, norms, ao = weighted
+        S = frame_operator(G, norms, ao)
+        applied = []
+        counted = OperatorName(H, H, S.bound,
+                               lambda u: applied.append(1) or S.apply(u))
+        g = vec(H, {0: 1, 1: F(-1, 3)})
+        steps = gframes._iteration_count(F(2), F(1), F(4), 32) + 3
+        u = richardson_iterate(counted, F(1), F(4), g, steps, 32)
+        assert 0 < len(applied) <= steps
+        want = combo(H, {0: F(1, 4), 1: F(-1, 3)})
+        assert u.sub(want).norm_squared() <= pow2(-66)
+
+
+class TestReconstructionPaths:
+    """reconstruct on a canonical dual reads S(S^-1 f); it must agree with
+    the synthesis of the dual's analysis, which it no longer calls."""
+
+    @staticmethod
+    def _frames(H):
+        e0 = combo(H, {0: 1})
+        frames = dict(standard_frames(H))
+        frames.update({
+            "parseval": diagonal_gframe(H),
+            "block 2": block_gframe(H, 2),
+            "atoms 1 2": atoms_gframe(H, [e0, e0], -1, F(1), F(2))[:3],
+            "diagonal 0:2": diagonal_gframe(H, {0: F(2)}),
+            "diagonal 0:2 1:1/2": diagonal_gframe(H, {0: F(2), 1: F(1, 2)}),
+        })
+        return frames
+
+    def test_canonical_dual_agrees_with_the_composition(self, H):
+        f = vec(H, {1: F(1, 3), 2: F(-2, 5)})
+        for name, (G, norms, ao) in self._frames(H).items():
+            dual, ao_d = canonical_dual_pair(G, norms, ao)
+            direct = reconstruct(G, dual, norms, f, ao_d)
+            composed = synthesis(G, norms).apply(
+                analysis(dual, ao_d).apply(f).in_space(G.sum_space()))
+            for n in (16, 32, 64):
+                gap = direct.approx(n).sub(composed.approx(n))
+                assert gap.norm_squared() <= pow2(-2 * n), (name, n)
+
+    def test_canonical_dual_iterates_at_linear_precision(self, H, monkeypatch):
+        precisions = []
+        iterate = gframes.richardson_iterate
+
+        def recording(S, lower, upper, g, steps, precision):
+            precisions.append(precision)
+            return iterate(S, lower, upper, g, steps, precision)
+
+        monkeypatch.setattr(gframes, "richardson_iterate", recording)
+        G, norms, ao = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
+        dual, ao_d = canonical_dual_pair(G, norms, ao)
+        f = vec(H, {1: F(1, 3), 2: F(-2, 5)})
+        got = reconstruct(G, dual, norms, f, ao_d).approx(64)
+        assert got.sub(f.exact_combo).norm_squared() <= pow2(-128)
+        # n + 1 + bits_for(4) = 67, quantised to 72
+        assert precisions == [72]
+
+    def test_other_duals_reconstruct_through_the_composition(self, H, redundant,
+                                                             monkeypatch):
+        G, norms, ao = redundant
+        psi = _half_first_coordinate_kernel(G)
+        kdual, ao_k = kernel_dual_pair(G, norms, ao, psi)
+        canonical, ao_c = canonical_dual_pair(G, norms, ao)
+        analysed = []
+        build = gframes.analysis
+
+        def recording(D, ao_D):
+            analysed.append(D)
+            return build(D, ao_D)
+
+        monkeypatch.setattr(gframes, "analysis", recording)
+        f = vec(H, {0: F(1, 3), 2: F(-1)})
+        # a canonical dual with another analysis oracle is not the pair
+        for D, ao_D, composed in ((kdual, ao_k, True),
+                                  (canonical, ao_c, False),
+                                  (canonical, lambda g: ao_c(g), True)):
+            del analysed[:]
+            got = reconstruct(G, D, norms, f, ao_D)
+            assert vec_distance(got, f).approx(25) <= pow2(-25)
+            assert analysed == ([D] if composed else [])

@@ -265,6 +265,22 @@ class TestVectorFromCoefficients:
         for k in range(3):
             assert abs(got.coeff(k) - F(k + 1, 3)) <= pow2(-18)
 
+    def test_lazy_coordinates_are_snapped_to_a_dyadic_grid(self, H):
+        # raw-rational coordinates (63/64)^k: kept whole, their
+        # denominators grow to 6k bits and the vector at n = 32 to about
+        # 25 million bits; snapped, it stays near 10^5 bits
+        q = F(63, 64)
+        v = vector_from_coefficients(
+            H, lambda k: CReal(lambda n, k=k: q ** k),
+            creal_from_rational(1 / (1 - q * q)))
+        got = v.approx(32)
+        bits = sum(c.numerator.bit_length() + c.denominator.bit_length()
+                   for _, c in got.terms)
+        assert bits <= 200_000
+        assert all(c.denominator.bit_count() == 1 for _, c in got.terms)
+        for k in (0, 100, 1000):
+            assert abs(got.coeff(k) - q ** k) <= pow2(-32)
+
 
 class TestExactClosure:
     @settings(max_examples=60, deadline=None)
