@@ -19,7 +19,6 @@ from .errors import (
 )
 from .realcore import (
     Comparison,
-    ComplexCReal,
     CReal,
     CRealSeq,
     SpeckerData,
@@ -78,6 +77,7 @@ from .gframes import (
     analysis,
     atoms_gframe,
     block_gframe,
+    bounded_operator,
     canonical_dual_pair,
     corresponding_frame,
     diagonal_gframe,

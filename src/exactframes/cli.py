@@ -77,7 +77,6 @@ from .directsum import SumName, SumSpace, sum_inner_product
 from .gframes import (
     atoms_gframe,
     block_gframe,
-    canonical_dual_pair,
     diagonal_gframe,
     frame_operator,
     reconstruct,
@@ -129,7 +128,9 @@ def _rat(token: str) -> Fraction:
 
 
 def _nat(token: str, what: str) -> int:
-    if not token.isdigit():
+    # ASCII digits only: str.isdigit and int() alone also take other
+    # scripts' digits, superscripts and underscores
+    if not (token.isascii() and token.isdigit()):
         raise SpecParseError(f"{what} must be a decimal natural, got {token!r}")
     return int(token)
 
@@ -281,10 +282,11 @@ def _declare_gframe(reg: Registry, rest: list[str]) -> None:
         if len(args) < 3:
             raise SpecParseError("atoms needs: <A> <B> <tail-offset> | ...")
         lower, upper = _rat(args[0]), _rat(args[1])
-        try:
-            tail_offset = int(args[2])
-        except ValueError:
-            raise SpecParseError("tail-offset must be an integer") from None
+        digits = args[2].removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise SpecParseError(
+                f"tail-offset must be a decimal integer, got {args[2]!r}")
+        tail_offset = int(args[2])
         atoms_part = args[3:]
         prefix: list[FiniteCombo] = []
         current: list[str] = []
@@ -444,8 +446,7 @@ def execute_task(reg: Registry, task: Task, precision: int) -> list[str]:
         _need_args(task, 2)
         G, norms, ao = reg._get(reg.gframes, task.args[0], "g-frame")
         v = reg.vector(task.args[1])
-        dual, ao_d = canonical_dual_pair(G, norms, ao)
-        out = reconstruct(G, dual, norms, v, ao_d)
+        out = reconstruct(G, norms, ao, v)
         return _value_lines(out.approx(precision))
     raise SpecResolveError(f"unknown operation {task.op!r}")
 
@@ -478,6 +479,8 @@ def run_task(doc: SpecDocument, index: int, *,
 
 
 def _run_eval(args) -> int:
+    if args.threads < 1:
+        raise SpecParseError(f"--threads must be at least 1, got {args.threads}")
     try:
         with open(args.spec_file, "r", encoding="utf-8") as handle:
             text = handle.read()

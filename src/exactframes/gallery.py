@@ -27,7 +27,6 @@ from .realcore import (
     CReal,
     SpeckerData,
     _term_limit,
-    bits_for,
     ceil_int,
     certified_tail_cut,
     creal_add,
@@ -41,7 +40,13 @@ from .realcore import (
     prec_for,
 )
 from .hilbert import FiniteCombo, SpaceDescriptor, VectorName
-from .gframes import GFrameName, NormsOracle, OperatorName, zero_operator
+from .gframes import (
+    GFrameName,
+    NormsOracle,
+    OperatorName,
+    bounded_operator,
+    zero_operator,
+)
 
 _ZERO = creal_from_rational(0)
 _ONE = creal_from_rational(1)
@@ -86,39 +91,29 @@ def _require_infinite(space: SpaceDescriptor) -> None:
         raise ValueError("gallery constructions act on an infinite space")
 
 
-def _upper_toeplitz_program(space: SpaceDescriptor, s: SpeckerData):
-    """(Uf)_i = f_i + sum over k >= 1 of a_k f_(i+k): exact on finite
-    combinations, since only finitely many terms meet the support."""
-
-    def program(f: VectorName) -> VectorName:
-        def fn(n: int) -> FiniteCombo:
-            c = f.approx(n + 2)      # operator norm <= 1 + l1(a) <= 2
-            out = {k: q for k, q in c.terms}
-            for j, q in c.terms:
-                for i in range(j):
-                    t = s.term(j - i - 1)
-                    if t:
-                        out[i] = out.get(i, Fraction(0)) + t * q
-            return FiniteCombo(space, out)
-
-        return VectorName(space, fn)
-
-    return program
-
-
 def upper_u_operator(space: SpaceDescriptor, s: SpeckerData) -> OperatorName:
-    """The upper-Toeplitz operator itself; computable with no gate."""
+    """The upper-Toeplitz operator itself, computable with no gate:
+    (Uf)_i = f_i + sum over k >= 1 of a_k f_(i+k), exact on finite
+    combinations, since only finitely many terms meet the support; the
+    operator norm is at most 1 + l1(a) <= 2."""
     _require_infinite(space)
-    return OperatorName(space, space, Fraction(3),
-                        _upper_toeplitz_program(space, s))
+
+    def image(c: FiniteCombo) -> VectorName:
+        out = {k: q for k, q in c.terms}
+        for j, q in c.terms:
+            for i in range(j):
+                t = s.term(j - i - 1)
+                if t:
+                    out[i] = out.get(i, Fraction(0)) + t * q
+        return VectorName.from_combo(FiniteCombo(space, out))
+
+    return bounded_operator(space, space, Fraction(3), image)
 
 
 def lower_u_synthesis(space: SpaceDescriptor, t: ToeplitzLowerU) -> OperatorName:
     """The synthesis-side action of the lower-Toeplitz construction: the
     upper-triangular transpose action, computable with no gate."""
-    _require_infinite(space)
-    return OperatorName(space, space, Fraction(3),
-                        _upper_toeplitz_program(space, t.specker))
+    return upper_u_operator(space, t.specker)
 
 
 def column_lower_adjoint(space: SpaceDescriptor, u: ColumnLowerU) -> OperatorName:
@@ -127,23 +122,19 @@ def column_lower_adjoint(space: SpaceDescriptor, u: ColumnLowerU) -> OperatorNam
     _require_infinite(space)
     s = u.specker
 
-    def program(f: VectorName) -> VectorName:
-        def fn(n: int) -> FiniteCombo:
-            c = f.approx(n + 2)
-            out = {k: q for k, q in c.terms}
-            acc = Fraction(0)
-            for k, q in c.terms:
-                if k >= 1:
-                    t = s.term(k - 1)
-                    if t:
-                        acc += t * q
-            if acc:
-                out[0] = out.get(0, Fraction(0)) + acc
-            return FiniteCombo(space, out)
+    def image(c: FiniteCombo) -> VectorName:
+        out = {k: q for k, q in c.terms}
+        acc = Fraction(0)
+        for k, q in c.terms:
+            if k >= 1:
+                t = s.term(k - 1)
+                if t:
+                    acc += t * q
+        if acc:
+            out[0] = out.get(0, Fraction(0)) + acc
+        return VectorName.from_combo(FiniteCombo(space, out))
 
-        return VectorName(space, fn)
-
-    return OperatorName(space, space, Fraction(3), program)
+    return bounded_operator(space, space, Fraction(3), image)
 
 
 def _gated_column(s: SpeckerData, gate: NormOracle, weight: Fraction,
@@ -161,9 +152,8 @@ def _gated_column(s: SpeckerData, gate: NormOracle, weight: Fraction,
 
 def _gated_lower_toeplitz(space: SpaceDescriptor, s: SpeckerData,
                           gate: NormOracle) -> OperatorName:
-    def program(f: VectorName) -> VectorName:
+    def image(c: FiniteCombo) -> VectorName:
         def fn(n: int) -> FiniteCombo:
-            c = f.approx(n + 3)
             if not c.terms:
                 return FiniteCombo(space, {})
             # column tails: l1 * sqrt(2) * 2^-(n+3) <= 2^-(n+2)
@@ -178,14 +168,13 @@ def _gated_lower_toeplitz(space: SpaceDescriptor, s: SpeckerData,
 
         return VectorName(space, fn)
 
-    return OperatorName(space, space, Fraction(3), program)
+    return bounded_operator(space, space, Fraction(3), image)
 
 
 def _gated_loaded_column(space: SpaceDescriptor, s: SpeckerData,
                          gate: NormOracle) -> OperatorName:
-    def program(f: VectorName) -> VectorName:
+    def image(c: FiniteCombo) -> VectorName:
         def fn(n: int) -> FiniteCombo:
-            c = f.approx(n + 3)
             out = {k: q for k, q in c.terms}
             c0 = c.coeff(0)
             if c0:
@@ -195,7 +184,7 @@ def _gated_loaded_column(space: SpaceDescriptor, s: SpeckerData,
 
         return VectorName(space, fn)
 
-    return OperatorName(space, space, Fraction(3), program)
+    return bounded_operator(space, space, Fraction(3), image)
 
 
 def gated_adjoint(space: SpaceDescriptor,
@@ -290,11 +279,9 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
                                   _term_limit(8))
     margin0 = 1 - sigma0
     tau_bound = 2 / margin0
-    in_shift = bits_for(tau_bound)
 
-    def program(f: VectorName) -> VectorName:
+    def image(c: FiniteCombo) -> VectorName:
         def fn(n: int) -> FiniteCombo:
-            c = f.approx(n + 2 + in_shift)
             if not c.terms:
                 return FiniteCombo(space, {})
             l1 = sum(abs(q) for _, q in c.terms)
@@ -341,7 +328,7 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
 
         return VectorName(space, fn)
 
-    tau_op = OperatorName(space, space, tau_bound, program)
+    tau_op = bounded_operator(space, space, tau_bound, image)
 
     def ops(i: int) -> OperatorName:
         return tau_op if i == 0 else zero_operator(space, space)
@@ -382,11 +369,9 @@ def remark_frame_operator(space: SpaceDescriptor, u: ColumnLowerU,
     s = u.specker
     gate_up = Fraction(max(0, ceil_int(gate.value.approx(0))) + 2)
     bound = 3 + 2 * gate_up
-    in_shift = bits_for(bound)
 
-    def program(f: VectorName) -> VectorName:
+    def image(c: FiniteCombo) -> VectorName:
         def fn(n: int) -> FiniteCombo:
-            c = f.approx(n + 2 + in_shift)
             out = {k: q for k, q in c.terms if k >= 1}
             c0 = c.coeff(0)
             cross = Fraction(0)
@@ -407,4 +392,4 @@ def remark_frame_operator(space: SpaceDescriptor, u: ColumnLowerU,
 
         return VectorName(space, fn)
 
-    return OperatorName(space, space, bound, program)
+    return bounded_operator(space, space, bound, image)

@@ -102,42 +102,45 @@ class OperatorName:
         return f"OperatorName({self.dom.ident}->{self.cod.ident}, bound={self.bound})"
 
 
+def bounded_operator(dom: SpaceDescriptor, cod: SpaceDescriptor,
+                     bound: Fraction,
+                     image: Callable[[FiniteCombo], VectorName]) -> OperatorName:
+    """The operator sending each exact input c to image(c), for a linear
+    image bounded by bound: a bounded operator is computable from its
+    values on finite rational combinations and its norm bound (Pour-El
+    and Richards, Computability in Analysis and Physics, 1989)."""
+    def program(f: VectorName) -> VectorName:
+        c = f.exact_combo
+        if c is not None:
+            return image(c)
+        s = bits_for(bound)
+
+        def fn(n: int) -> FiniteCombo:
+            # ||T f - T c|| <= bound 2^-(n+1+s) <= 2^-(n+1) for the input
+            # error, plus 2^-(n+1) for reading the image at n + 1
+            return image(f.approx(n + 1 + s)).approx(n + 1)
+
+        return VectorName(cod, fn)
+
+    return OperatorName(dom, cod, bound, program)
+
+
 def operator_from_columns(dom: SpaceDescriptor, cod: SpaceDescriptor,
                           column: Callable[[int], Union[FiniteCombo, VectorName]],
                           bound: Fraction) -> OperatorName:
     """The operator sending basis vector k to column(k); sound whenever
     bound really dominates the operator norm."""
-    bound = Fraction(bound)
     cols = _Memo()
-    s = bits_for(bound)
 
-    def action(c: FiniteCombo, n: int) -> FiniteCombo:
-        exact = FiniteCombo(cod, {})
-        pairs = []
-        for k, q in c.terms:
-            ck = cols.lookup(k, column, k)
-            if isinstance(ck, FiniteCombo):
-                exact = exact.add(ck.scale(q))
-            else:
-                pairs.append((q, ck))
-        if not pairs:
-            return exact
-        return exact.add(linear_combination(cod, pairs).approx(n + 1))
+    def named_column(k: int) -> VectorName:
+        ck = column(k)
+        return VectorName.from_combo(ck) if isinstance(ck, FiniteCombo) else ck
 
-    def program(f: VectorName) -> VectorName:
-        c0 = f.exact_combo
-        if c0 is not None and all(
-                isinstance(cols.lookup(k, column, k), FiniteCombo)
-                for k in c0.support):
-            return VectorName.from_combo(action(c0, 0))
+    def image(c: FiniteCombo) -> VectorName:
+        return linear_combination(
+            cod, [(q, cols.lookup(k, named_column, k)) for k, q in c.terms])
 
-        def fn(n: int) -> FiniteCombo:
-            # bound * 2^-(n+1+s) <= 2^-(n+1) input error
-            return action(f.approx(n + 1 + s), n)
-
-        return VectorName(cod, fn)
-
-    return OperatorName(dom, cod, bound, program)
+    return bounded_operator(dom, cod, bound, image)
 
 
 def identity_operator(space: SpaceDescriptor) -> OperatorName:
@@ -167,7 +170,6 @@ def operator_compose(outer: OperatorName, inner: OperatorName,
 
 
 _SUM_SPACE = ("sum space",)
-_CANONICAL_OF = ("canonical dual of",)
 
 
 class GFrameName:
@@ -505,11 +507,17 @@ def analysis(G: GFrameName, ao: AnalysisOracle) -> OperatorName:
 
 def frame_operator(G: GFrameName, norms: NormsOracle,
                    ao: AnalysisOracle) -> OperatorName:
+    """S, the synthesis of the analysis, bounded by the upper frame bound
+    (trusted as the synthesis cut trusts it): a lazy input is read at
+    linear precision, not through a cut at about 2n bits."""
     def build() -> OperatorName:
         syn = synthesis(G, norms)
         ana = analysis(G, ao)
-        return OperatorName(G.dom, G.dom, G.upper,
-                            lambda f: syn.apply(ana.apply(f)))
+
+        def image(c: FiniteCombo) -> VectorName:
+            return syn.apply(ana.apply(VectorName.from_combo(c)))
+
+        return bounded_operator(G.dom, G.dom, G.upper, image)
 
     return G.derived(("frame-operator", norms, ao), build)
 
@@ -647,20 +655,23 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
 # duals, pseudo-inverse, reconstruction
 
 
+def _inverse_frame_operator(G: GFrameName, norms: NormsOracle,
+                            ao: AnalysisOracle) -> OperatorName:
+    """The inverse frame operator, one per (norms, ao), so that duals
+    and reconstructions from the same oracles share its iterates."""
+    return G.derived(("inverse-frame-operator", norms, ao),
+                     lambda: invert_frame_operator(
+                         frame_operator(G, norms, ao), G.lower, G.upper))
+
+
 def canonical_dual_pair(G: GFrameName, norms: NormsOracle,
                         ao: AnalysisOracle) -> tuple[GFrameName, AnalysisOracle]:
     """The canonical dual (op_i composed with the inverse frame operator)
     together with its analysis oracle f -> <inverse f, f>.
 
-    This is the one place the dual layer reaches the inverse frame
-    operator: the pseudo-inverse and the kernel constructions are built
-    from this pair.  The inverse is shared per (norms, ao), so every
-    dual built from the same oracles shares its iterates.  The dual
-    records the frame operator and the inverse it was built from, which
-    reconstruct reads."""
-    S = frame_operator(G, norms, ao)
-    s_inv = G.derived(("inverse-frame-operator", norms, ao),
-                      lambda: invert_frame_operator(S, G.lower, G.upper))
+    The dual layer reaches the inverse frame operator through this pair:
+    the pseudo-inverse and the kernel constructions are built from it."""
+    s_inv = _inverse_frame_operator(G, norms, ao)
     cap = Fraction(ceil_sqrt_int(Fraction(1) / G.lower))
 
     def make_op(i: int) -> OperatorName:
@@ -674,7 +685,6 @@ def canonical_dual_pair(G: GFrameName, norms: NormsOracle,
     def ao_dual(f: VectorName) -> CReal:
         return inner_product(s_inv.apply(f), f)
 
-    dual.derived(_CANONICAL_OF, lambda: (G, norms, ao_dual, S, s_inv))
     return dual, ao_dual
 
 
@@ -685,36 +695,14 @@ def pseudo_inverse(G: GFrameName, norms: NormsOracle,
     return analysis(*canonical_dual_pair(G, norms, ao))
 
 
-def reconstruct(G: GFrameName, D: GFrameName, norms_G: NormsOracle,
-                f: VectorName, ao_D: AnalysisOracle) -> VectorName:
-    """Synthesis of G applied to the analysis of the dual D at f; equal
-    to f whenever D really is a dual of G.
-
-    When (D, ao_D) is the pair canonical_dual_pair built for G from
-    norms_G, the sum is S(S^-1 f) (W. Sun, J. Math. Anal. Appl. 322,
-    2006).  It is evaluated as the frame operator S, bounded by its
-    bound B, applied to the exact iterate S^-1 f at precision
-    n + 1 + bits_for(B) and read at n + 1: linear in n, where the
-    synthesis of the dual's analysis cuts against the dual's mass at
-    about 2n bits.  This trusts B as the synthesis cut already does.
-    Every other dual is reconstructed through that composition."""
-    if not same_space(G.dom, D.dom):
-        raise SpaceMismatchError("dual pair must share the domain")
-    record = D.derived(_CANONICAL_OF, lambda: None)
-    if record is not None:
-        frame, norms, ao_dual, S, s_inv = record
-        if frame is G and norms is norms_G and ao_dual is ao_D:
-            u = s_inv.apply(f)
-            s = bits_for(S.bound)
-
-            def fn(n: int) -> FiniteCombo:
-                # bound * 2^-(n+1+s) <= 2^-(n+1) input error
-                exact_u = VectorName.from_combo(u.approx(n + 1 + s))
-                return S.apply(exact_u).approx(n + 1)
-
-            return VectorName(G.dom, fn)
-    coeffs = analysis(D, ao_D).apply(f).in_space(G.sum_space())
-    return synthesis(G, norms_G).apply(coeffs)
+def reconstruct(G: GFrameName, norms: NormsOracle, ao: AnalysisOracle,
+                f: VectorName) -> VectorName:
+    """f reconstructed through the canonical dual: the synthesis of its
+    analysis is S(S^-1 f) (W. Sun, J. Math. Anal. Appl. 322, 2006), and
+    S reads the iterate at linear precision.  Another dual D gives the
+    synthesis of G applied to the analysis of D."""
+    return frame_operator(G, norms, ao).apply(
+        _inverse_frame_operator(G, norms, ao).apply(f))
 
 
 def dual_from_left_inverse(G: GFrameName, phi: OperatorName,

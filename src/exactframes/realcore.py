@@ -465,40 +465,6 @@ def _exact_prefix_count(total: CReal,
     return None
 
 
-class ComplexCReal:
-    """A complex scalar with certified real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: CReal, im: CReal):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_rationals(cls, a: Fraction, b: Fraction = Fraction(0)) -> "ComplexCReal":
-        return cls(creal_from_rational(a), creal_from_rational(b))
-
-    def add(self, other: "ComplexCReal") -> "ComplexCReal":
-        return ComplexCReal(creal_add(self.re, other.re), creal_add(self.im, other.im))
-
-    def sub(self, other: "ComplexCReal") -> "ComplexCReal":
-        return ComplexCReal(creal_sub(self.re, other.re), creal_sub(self.im, other.im))
-
-    def mul(self, other: "ComplexCReal") -> "ComplexCReal":
-        re = creal_sub(creal_mul(self.re, other.re), creal_mul(self.im, other.im))
-        im = creal_add(creal_mul(self.re, other.im), creal_mul(self.im, other.re))
-        return ComplexCReal(re, im)
-
-    def conjugate(self) -> "ComplexCReal":
-        return ComplexCReal(self.re, creal_neg(self.im))
-
-    def modulus_squared(self) -> CReal:
-        return creal_add(creal_mul(self.re, self.re), creal_mul(self.im, self.im))
-
-    def modulus(self) -> CReal:
-        return creal_sqrt(self.modulus_squared())
-
-
 class SpeckerData:
     """An injective enumeration e with derived terms a_i = 2**-(e(i)+1).
 

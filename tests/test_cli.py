@@ -150,9 +150,14 @@ class TestExitCodes:
         "space H infinite\nvector e0 H 0:1\ngframe N H diagonal 0:2\n"
         "gallery N column-lower H enum 1 gate 1/16\n"
         "task frame-op N e0 precision 10\n",
+        "space H infinite\nvector v H 0:1\ntask norm v precision \u00b2\n",
+        "space H infinite\nvector v H \u0663:1\n",
+        "space H infinite\ngframe R H atoms 1 2 1_0 | 0:1\n",
     ], ids=["zero-weight", "zero-width", "finite-block", "finite-gallery",
             "weight-out-of-range", "duplicate-weight", "repeated-sumvec-slot",
-            "redeclared-space", "redeclared-vector", "gframe-and-gallery"])
+            "redeclared-space", "redeclared-vector", "gframe-and-gallery",
+            "superscript-precision", "arabic-indic-index",
+            "underscore-tail-offset"])
     def test_bad_declaration_is_a_parse_error(self, tmp_path, capsys, body):
         assert run_eval(tmp_path, "version 1\n" + body) == EXIT_PARSE
         err = capsys.readouterr().err
@@ -172,6 +177,13 @@ class TestExitCodes:
             assert run_eval(tmp_path, DEMO, ["--task", "0"]) == 0
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_parse_error(self, tmp_path, capsys, threads):
+        assert run_eval(tmp_path, DEMO, ["--threads", threads]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert "Traceback" not in err
 
     def test_negative_precision_override_is_a_parse_error(self, tmp_path):
         assert run_eval(tmp_path, DEMO, extra=["--precision", "-3"]) == EXIT_PARSE

@@ -9,25 +9,31 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exactframes import (
+    ColumnLowerU,
     CReal,
     CRealSeq,
     FiniteCombo,
     FrameRows,
     GFrameName,
     InvariantViolationError,
+    NormOracle,
     OperatorName,
     OrthonormalRows,
     PrecisionExhaustionError,
     RowFrame,
     SpaceDescriptor,
+    SpeckerData,
     SpectralHypothesisError,
     SumName,
+    ToeplitzLowerU,
+    ToeplitzUpperU,
     VectorName,
     analysis,
     atoms_gframe,
     basis_vector,
     block_gframe,
     canonical_dual_pair,
+    column_lower_adjoint,
     corresponding_frame,
     creal_from_rational,
     creal_sqrt,
@@ -35,6 +41,8 @@ from exactframes import (
     diagonal_operator,
     dual_from_left_inverse,
     frame_operator,
+    gated_adjoint,
+    gated_dual_tau,
     gframe_from_corresponding,
     gframe_to_frame,
     identity_operator,
@@ -43,16 +51,19 @@ from exactframes import (
     kernel_dual_pair,
     kernel_from_dual,
     linear_combination,
+    lower_u_synthesis,
     operator_compose,
     operator_from_columns,
     pseudo_inverse,
     reconstruct,
+    remark_frame_operator,
     richardson_iterate,
     riesz_correspondence,
     scalar_codomain,
     sum_inner_product,
     sum_norm,
     synthesis,
+    upper_u_operator,
     vec_distance,
     vec_lincomb,
     vec_norm,
@@ -60,8 +71,9 @@ from exactframes import (
     zero_operator,
 )
 from exactframes import directsum, gallery, gframes, hilbert, realcore
-from exactframes.realcore import creal_mul, creal_scale, pow2
-from exactframes.suites import _half_first_coordinate_kernel, standard_frames
+from exactframes.realcore import (bits_for, creal_mul, creal_scale, pow2,
+                                  quantize_precision)
+from exactframes.suites import standard_frames
 
 from conftest import (assert_same_outcomes, claimed_total, claims, combo,
                       exact_prefixes, finishes, random_combo, vec)
@@ -497,9 +509,8 @@ class TestBlockGFrame:
 
     def test_block_is_tight(self, H):
         G, norms, ao = block_gframe(H, 3)
-        dual, ao_d = canonical_dual_pair(G, norms, ao)
         f = vec(H, {0: F(1, 3), 4: F(5, 8), 7: F(-1)})
-        u = reconstruct(G, dual, norms, f, ao_d)
+        u = reconstruct(G, norms, ao, f)
         assert vec_distance(u, f).approx(25) <= pow2(-25)
         S = frame_operator(G, norms, ao)
         assert vec_distance(S.apply(f), f).approx(25) <= pow2(-25)
@@ -517,7 +528,7 @@ class TestBlockGFrame:
         G, norms, ao = block_gframe(H, width)
         f = vec(H, coeffs)
         assert frame_operator(G, norms, ao).apply(f).exact_combo == f.exact_combo
-        dual, ao_d = canonical_dual_pair(G, norms, ao)
+        dual, _ = canonical_dual_pair(G, norms, ao)
         out = pseudo_inverse(G, norms, ao).apply(f)
         for i in range(8 // width + 1):
             want = combo(G.op(i).cod, {j: coeffs.get(i * width + j, 0)
@@ -528,7 +539,7 @@ class TestBlockGFrame:
         mass = sum((q * q for q in coeffs.values()), F(0))
         assert abs(out.normsq.approx(n) - mass) <= pow2(-n)
         for n in (16, 32):
-            got = reconstruct(G, dual, norms, f, ao_d).approx(n)
+            got = reconstruct(G, norms, ao, f).approx(n)
             assert got.sub(f.exact_combo).norm_squared() <= pow2(-2 * n)
 
 
@@ -648,23 +659,20 @@ class TestPseudoInverse:
 class TestReconstruct:
     def test_parseval(self, H, parseval):
         G, norms, ao = parseval
-        dual, ao_d = canonical_dual_pair(G, norms, ao)
         f = basis_vector(H, 0)
-        assert vec_distance(reconstruct(G, dual, norms, f, ao_d),
+        assert vec_distance(reconstruct(G, norms, ao, f),
                             f).approx(30) <= pow2(-30)
 
     def test_weighted(self, H, weighted):
         G, norms, ao = weighted
-        dual, ao_d = canonical_dual_pair(G, norms, ao)
         f = vec(H, {0: 1, 1: 1})
-        assert vec_distance(reconstruct(G, dual, norms, f, ao_d),
+        assert vec_distance(reconstruct(G, norms, ao, f),
                             f).approx(25) <= pow2(-25)
 
     def test_redundant(self, H, redundant):
         G, norms, ao = redundant
-        dual, ao_d = canonical_dual_pair(G, norms, ao)
         f = vec(H, {0: F(1, 3), 2: F(-1)})
-        assert vec_distance(reconstruct(G, dual, norms, f, ao_d),
+        assert vec_distance(reconstruct(G, norms, ao, f),
                             f).approx(25) <= pow2(-25)
 
 
@@ -854,10 +862,9 @@ class TestExactClosure:
     def test_diagonal_reconstruction(self, weights, coeffs):
         H = SpaceDescriptor()
         G, norms, ao = diagonal_gframe(H, weights)
-        dual, ao_d = canonical_dual_pair(G, norms, ao)
         f = vec(H, coeffs)
         for n in (16, 32):
-            got = reconstruct(G, dual, norms, f, ao_d).approx(n)
+            got = reconstruct(G, norms, ao, f).approx(n)
             assert got.sub(f.exact_combo).norm_squared() <= pow2(-2 * n)
 
     def test_frame_operator_on_exact_input_makes_no_tail_cut(self, H, monkeypatch):
@@ -939,13 +946,13 @@ class TestSpectralCertificate:
         H = SpaceDescriptor()
         G0, norms, ao = diagonal_gframe(H, weights)
         G = GFrameName(H, G0.op, lower, upper)
-        dual, ao_d = canonical_dual_pair(G, norms, ao)
+        dual, _ = canonical_dual_pair(G, norms, ao)
         f = vec(H, coeffs)
         # the iteration only meets the eigenvalues on the support of f
         holds = all(lower <= weights.get(i, 1) ** 2 <= upper
                     for i, q in coeffs.items() if q)
         try:
-            got = reconstruct(G, dual, norms, f, ao_d).approx(n)
+            got = reconstruct(G, norms, ao, f).approx(n)
             assert got.sub(f.exact_combo).norm_squared() <= pow2(-2 * n)
             for i in range(6):
                 w = weights.get(i, 1)
@@ -971,8 +978,8 @@ class TestSpectralCertificate:
 
 
 class TestReconstructionPaths:
-    """reconstruct on a canonical dual reads S(S^-1 f); it must agree with
-    the synthesis of the dual's analysis, which it no longer calls."""
+    """reconstruct reads S(S^-1 f); it must agree with the synthesis of
+    the canonical dual's analysis, which it does not call."""
 
     @staticmethod
     def _frames(H):
@@ -991,7 +998,7 @@ class TestReconstructionPaths:
         f = vec(H, {1: F(1, 3), 2: F(-2, 5)})
         for name, (G, norms, ao) in self._frames(H).items():
             dual, ao_d = canonical_dual_pair(G, norms, ao)
-            direct = reconstruct(G, dual, norms, f, ao_d)
+            direct = reconstruct(G, norms, ao, f)
             composed = synthesis(G, norms).apply(
                 analysis(dual, ao_d).apply(f).in_space(G.sum_space()))
             for n in (16, 32, 64):
@@ -1008,33 +1015,65 @@ class TestReconstructionPaths:
 
         monkeypatch.setattr(gframes, "richardson_iterate", recording)
         G, norms, ao = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
-        dual, ao_d = canonical_dual_pair(G, norms, ao)
         f = vec(H, {1: F(1, 3), 2: F(-2, 5)})
-        got = reconstruct(G, dual, norms, f, ao_d).approx(64)
+        got = reconstruct(G, norms, ao, f).approx(64)
         assert got.sub(f.exact_combo).norm_squared() <= pow2(-128)
         # n + 1 + bits_for(4) = 67, quantised to 72
         assert precisions == [72]
 
-    def test_other_duals_reconstruct_through_the_composition(self, H, redundant,
-                                                             monkeypatch):
-        G, norms, ao = redundant
-        psi = _half_first_coordinate_kernel(G)
-        kdual, ao_k = kernel_dual_pair(G, norms, ao, psi)
-        canonical, ao_c = canonical_dual_pair(G, norms, ao)
-        analysed = []
-        build = gframes.analysis
 
-        def recording(D, ao_D):
-            analysed.append(D)
-            return build(D, ao_D)
+def _off_by_one_unit(c: FiniteCombo, k: int) -> VectorName:
+    """A lazy name of c whose approx(m) is off by exactly 2^-m at index k."""
+    return VectorName(c.space,
+                      lambda m: c.add(FiniteCombo(c.space, {k: pow2(-m)})))
 
-        monkeypatch.setattr(gframes, "analysis", recording)
-        f = vec(H, {0: F(1, 3), 2: F(-1)})
-        # a canonical dual with another analysis oracle is not the pair
-        for D, ao_D, composed in ((kdual, ao_k, True),
-                                  (canonical, ao_c, False),
-                                  (canonical, lambda g: ao_c(g), True)):
-            del analysed[:]
-            got = reconstruct(G, D, norms, f, ao_D)
-            assert vec_distance(got, f).approx(25) <= pow2(-25)
-            assert analysed == ([D] if composed else [])
+
+_SPECKER = SpeckerData.from_prefix([1, 3])
+_GATE = NormOracle.exact(F(17, 256))
+
+# every operator built on bounded_operator, with an input index its
+# error is amplified from
+_BOUNDED_OPERATOR_USERS = {
+    "columns": lambda H: (diagonal_operator(
+        H, lambda k: F(2) if k == 0 else F(1), F(2)), 0),
+    "frame operator": lambda H: (
+        frame_operator(*diagonal_gframe(H, {0: F(2)})), 0),
+    "upper toeplitz": lambda H: (upper_u_operator(H, _SPECKER), 3),
+    "lower synthesis": lambda H: (
+        lower_u_synthesis(H, ToeplitzLowerU(_SPECKER)), 3),
+    "column adjoint": lambda H: (
+        column_lower_adjoint(H, ColumnLowerU(_SPECKER)), 1),
+    "gated lower toeplitz": lambda H: (
+        gated_adjoint(H, ToeplitzUpperU(_SPECKER), _GATE), 0),
+    "gated loaded column": lambda H: (
+        gated_adjoint(H, ColumnLowerU(_SPECKER), _GATE), 0),
+    "dual tau": lambda H: (
+        gated_dual_tau(H, ToeplitzUpperU(_SPECKER), _GATE).op(0), 0),
+    "remark frame operator": lambda H: (
+        remark_frame_operator(H, ColumnLowerU(_SPECKER), _GATE), 0),
+}
+
+
+class TestBoundedOperatorRule:
+    @pytest.mark.parametrize("name", list(_BOUNDED_OPERATOR_USERS))
+    def test_adversarial_lazy_input_stays_within_the_bound(self, H, name):
+        T, k = _BOUNDED_OPERATOR_USERS[name](H)
+        c = combo(H, {0: F(1, 3), 1: F(-2, 5), 3: F(1, 7)})
+        for n in (8, 16, 32):
+            got = T.apply(_off_by_one_unit(c, k)).approx(n)
+            # the exact-input image, itself read within 2^-(n+24)
+            want = T.apply(VectorName.from_combo(c)).approx(n + 24)
+            slack = pow2(-n) + pow2(-(n + 24))
+            assert got.sub(want).norm_squared() <= slack * slack, (name, n)
+
+    def test_frame_operator_reads_a_lazy_input_at_linear_precision(self, H):
+        G, norms, ao = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
+        S = frame_operator(G, norms, ao)
+        c = combo(H, {0: F(1, 3), 1: F(-2, 5)})
+        for n in (16, 32, 64):
+            asked = []
+            f = VectorName(H, lambda m: asked.append(m) or c)
+            got = S.apply(f).approx(n)
+            assert max(asked) <= quantize_precision(n + 1 + bits_for(G.upper))
+            want = combo(H, {0: F(4, 3), 1: F(-1, 10)})
+            assert got.sub(want).norm_squared() <= pow2(-2 * n)

@@ -37,3 +37,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level functions, classes and constants whose names start
+    with one underscore (dunders excluded)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names
+            if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def references(source: str) -> set[str]:
+    """Every name the source reads, as a name, an attribute or an import."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
+def test_dead_private_names_are_found():
+    source = ("_USED = 1\n_DEAD = 2\n__all__ = []\n"
+              "def _helper():\n    return _USED\n"
+              "class _Gone:\n    pass\n"
+              "x = _helper()\n")
+    assert [n for n in private_definitions(source)
+            if n not in references(source)] == ["_DEAD", "_Gone"]
+
+
+def test_every_private_name_is_used():
+    sources = [p.read_text() for p in PACKAGE.glob("*.py")]
+    used = set().union(*map(references, sources))
+    dead = [name for source in sources for name in private_definitions(source)
+            if name not in used]
+    assert dead == []

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from exactframes import (
     Comparison,
-    ComplexCReal,
     CRealSeq,
     InvariantViolationError,
     NegativeInputError,
@@ -285,27 +284,6 @@ class TestPairing:
     def test_surjective_prefix(self):
         seen = {unpairing(k) for k in range(210)}
         assert len(seen) == 210
-
-
-class TestComplexScalars:
-    def test_product(self):
-        z = ComplexCReal.from_rationals(F(1), F(2))
-        w = ComplexCReal.from_rationals(F(3), F(4))
-        zw = z.mul(w)
-        assert within(zw.re.approx(25), -5, 25)
-        assert within(zw.im.approx(25), 10, 25)
-
-    def test_conjugate_and_modulus(self):
-        z = ComplexCReal.from_rationals(F(3), F(4))
-        assert within(z.conjugate().im.approx(20), -4, 20)
-        assert within(z.modulus().approx(20), 5, 20)
-
-    def test_componentwise_consistency(self):
-        z = ComplexCReal.from_rationals(F(1, 3), F(2, 7))
-        w = z.mul(z).add(z)
-        for part in (w.re, w.im):
-            a, b = part.approx(5), part.approx(25)
-            assert abs(a - b) <= pow2(-5) + pow2(-25)
 
 
 class TestCertifiedTailCut:
