@@ -49,12 +49,8 @@ from .hilbert import (
     riesz_functional,
     riesz_representer,
     same_space,
-    vec_add,
     vec_distance,
-    vec_lincomb,
     vec_norm,
-    vec_scale,
-    vec_sub,
     vector_from_coefficients,
 )
 from .directsum import (

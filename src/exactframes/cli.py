@@ -135,6 +135,18 @@ def _nat(token: str, what: str) -> int:
     return int(token)
 
 
+def _int_option(token: str) -> int:
+    """An eval option's integer: ASCII digits after an optional minus,
+    as _nat reads them.  A bad token exits 2 through argparse; the range
+    checks stay with --threads and run_task."""
+    sign, digits = (-1, token[1:]) if token.startswith("-") else (1, token)
+    try:
+        return sign * _nat(digits, "option value")
+    except SpecParseError:
+        raise argparse.ArgumentTypeError(
+            f"expected ASCII decimal digits, got {token!r}") from None
+
+
 def _combo_tokens(tokens: Sequence[str]) -> list[tuple[int, Fraction]]:
     out = []
     for tok in tokens:
@@ -529,13 +541,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_eval = sub.add_parser("eval", help="run the tasks of a document")
     p_eval.add_argument("spec_file")
-    p_eval.add_argument("--task", type=int, default=None,
+    p_eval.add_argument("--task", type=_int_option, default=None,
                         help="run a single task by index")
-    p_eval.add_argument("--precision", type=int, default=None,
+    p_eval.add_argument("--precision", type=_int_option, default=None,
                         help="override every task's precision")
-    p_eval.add_argument("--max-precision", type=int,
+    p_eval.add_argument("--max-precision", type=_int_option,
                         default=DEFAULT_MAX_PRECISION)
-    p_eval.add_argument("--threads", type=int, default=1)
+    p_eval.add_argument("--threads", type=_int_option, default=1)
 
     p_suite = sub.add_parser("suite", help="run a named check battery")
     p_suite.add_argument("name", choices=sorted(SUITES))

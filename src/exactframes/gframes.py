@@ -36,7 +36,6 @@ from .realcore import (
     creal_scale,
     creal_sqrt,
     creal_sum,
-    dyadic_round,
     pow2,
 )
 # kept for bench/tests/test_bench.py, whose tracer check reads this name
@@ -48,6 +47,7 @@ from .hilbert import (
     VectorName,
     _bessel_expansion,
     _bessel_sum,
+    _coordinate,
     _rational_sqrt,
     basis_vector,
     ceil_sqrt_int,
@@ -56,9 +56,7 @@ from .hilbert import (
     riesz_representer,
     same_space,
     sqrt_upper,
-    vec_add,
     vec_norm,
-    vec_sub,
     vector_from_coefficients,
 )
 from .directsum import SumName, SumSpace, sum_inner_product
@@ -301,7 +299,8 @@ def scalar_codomain() -> SpaceDescriptor:
 def riesz_correspondence(atoms: Callable[[int], tuple[VectorName, CReal]],
                          lower: Fraction, upper: Fraction) -> GFrameName:
     """Turn a vector frame (with per-atom norms) into the g-frame of
-    evaluation operators f -> <f, atom_i> into a shared scalar space.
+    evaluation operators f -> <f, atom_i> into a shared scalar space:
+    each value is the inner product placed at index 0 (_coordinate).
 
     Zero atoms are allowed; their operators are zero with bound 0.
     """
@@ -316,15 +315,7 @@ def riesz_correspondence(atoms: Callable[[int], tuple[VectorName, CReal]],
             raise SpaceMismatchError("frame atoms must share one space")
 
         def program(f: VectorName, y=y) -> VectorName:
-            ip = inner_product(f, y)
-            if ip.exact_value is not None:
-                return VectorName.from_combo(FiniteCombo(scal, {0: ip.exact_value}))
-
-            def fn(n: int) -> FiniteCombo:
-                v = dyadic_round(ip.approx(n + 1), n + 1)
-                return FiniteCombo(scal, {0: v} if v else {})
-
-            return VectorName(scal, fn)
+            return _coordinate(scal, 0, inner_product(f, y))
 
         if ynorm.exact_value is not None:
             b = ynorm.exact_value         # exact norms give exact bounds
@@ -340,17 +331,11 @@ def gframe_to_frame(G: GFrameName, opnorms: CRealSeq) -> Callable[[int], VectorN
 
     opnorms.at(i) must be the operator norm of the i-th operator; the
     representer of each evaluation functional cannot be assembled
-    without it."""
-
-    def frame_vector(i: int) -> VectorName:
-        cod = G.op(i).cod
-
-        def ev(f: VectorName, i=i, cod=cod) -> CReal:
-            return inner_product(G.op(i).apply(f), basis_vector(cod, 0))
-
-        return riesz_representer(FunctionalName(G.dom, ev, opnorms.at(i)))
-
-    return frame_vector
+    without it.  The frame vectors are the j = 0 vectors of the
+    corresponding frame over the codomain bases."""
+    corr = corresponding_frame(G, OrthonormalRows(lambda i: G.op(i).cod),
+                               lambda i, j: opnorms.at(i))
+    return lambda i: corr.vec(i, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -631,22 +616,16 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
     def program(g: VectorName) -> VectorName:
         gbound = Fraction(g.approx(0).norm_upper() + 1)
         with lock:
-            table = iterates.setdefault(g, {})
+            table = iterates.setdefault(g, _Memo())
 
-        def fn(n: int) -> FiniteCombo:
-            with lock:
-                got = table.get(n)
-            if got is None:
-                # the residual certificate usually stops the iteration
-                # before the a-priori count; the extra steps give its
-                # contraction check room when the window does not hold
-                steps = _iteration_count(gbound, lower, upper, n) + 3
-                got = richardson_iterate(S, lower, upper, g, steps, n)
-                with lock:
-                    got = table.setdefault(n, got)
-            return got
+        def iterate(n: int) -> FiniteCombo:
+            # the residual certificate usually stops the iteration before
+            # the a-priori count; the extra steps give its contraction
+            # check room when the window does not hold
+            steps = _iteration_count(gbound, lower, upper, n) + 3
+            return richardson_iterate(S, lower, upper, g, steps, n)
 
-        return VectorName(S.dom, fn)
+        return VectorName(S.dom, lambda n: table.lookup(n, iterate, n))
 
     return OperatorName(S.dom, S.cod, Fraction(1) / lower, program)
 
@@ -763,7 +742,8 @@ def kernel_dual_pair(G: GFrameName, norms: NormsOracle, ao: AnalysisOracle,
         can_i = canonical.op(i)
 
         def program(f: VectorName, i=i) -> VectorName:
-            return vec_add(can_i.apply(f), psi.apply(f).component(i))
+            return linear_combination(
+                can_i.cod, [(1, can_i.apply(f)), (1, psi.apply(f).component(i))])
 
         return OperatorName(G.dom, can_i.cod,
                             min(can_i.bound + psi.bound, op_cap), program)
@@ -793,7 +773,8 @@ def kernel_from_dual(G: GFrameName, D: GFrameName, norms: NormsOracle,
         c_coeffs = tplus.apply(f)
 
         def comp(i: int) -> VectorName:
-            return vec_sub(d_coeffs.component(i), c_coeffs.component(i))
+            return linear_combination(ss.component(i), [
+                (1, d_coeffs.component(i)), (-1, c_coeffs.component(i))])
 
         return SumName(ss, comp, _combined_mass(d_coeffs, c_coeffs, -1))
 

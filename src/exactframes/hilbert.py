@@ -138,14 +138,11 @@ class FiniteCombo:
         return not self.terms
 
     def add(self, other: "FiniteCombo") -> "FiniteCombo":
-        _require_same_space(self.space, other.space)
-        acc = dict(self.terms)
-        for k, q in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + q
-        return FiniteCombo(self.space, acc)
+        """self + other, added by the one accumulator (_combo_sum)."""
+        return _combo_sum(self.space, ((1, self), (1, other)))
 
     def sub(self, other: "FiniteCombo") -> "FiniteCombo":
-        return self.add(other.scale(Fraction(-1)))
+        return _combo_sum(self.space, ((1, self), (-1, other)))
 
     def scale(self, q: Fraction) -> "FiniteCombo":
         q = Fraction(q)
@@ -256,48 +253,24 @@ def basis_vector(space: SpaceDescriptor, k: int) -> VectorName:
     return VectorName.from_combo(FiniteCombo(space, {k: Fraction(1)}))
 
 
-def vec_add(x: VectorName, y: VectorName) -> VectorName:
-    _require_same_space(x.space, y.space)
-    if x.exact_combo is not None and y.exact_combo is not None:
-        return VectorName.from_combo(x.exact_combo.add(y.exact_combo))
-    return VectorName(x.space, lambda n: x.approx(n + 1).add(y.approx(n + 1)))
-
-
-def vec_sub(x: VectorName, y: VectorName) -> VectorName:
-    return vec_add(x, vec_scale(Fraction(-1), y))
-
-
-def vec_scale(q: Fraction, x: VectorName) -> VectorName:
-    q = Fraction(q)
-    if not q:
-        return VectorName.zero(x.space)
-    if x.exact_combo is not None:
-        return VectorName.from_combo(x.exact_combo.scale(q))
-    s = bits_for(abs(q))
-    return VectorName(x.space, lambda n: x.approx(n + s).scale(q))
-
-
-def vec_lincomb(a: Fraction, x: VectorName, b: Fraction, y: VectorName) -> VectorName:
-    """The name of a*x + b*y; operand precision is shifted so the
-    combined coefficient mass keeps the result within 2**-n."""
-    _require_same_space(x.space, y.space)
-    a, b = Fraction(a), Fraction(b)
-    if x.exact_combo is not None and y.exact_combo is not None:
-        return VectorName.from_combo(x.exact_combo.scale(a).add(y.exact_combo.scale(b)))
-    s = bits_for(2 * (abs(a) + abs(b)))
-    return VectorName(
-        x.space,
-        lambda n: x.approx(n + s).scale(a).add(y.approx(n + s).scale(b)))
-
-
 def _combo_sum(space: SpaceDescriptor,
-               combos: Iterable[FiniteCombo]) -> FiniteCombo:
-    """The sum of the combinations, added into one table: the same
-    rationals as repeated FiniteCombo.add."""
+               pairs: Iterable[tuple[Fraction, FiniteCombo]]) -> FiniteCombo:
+    """The sum of c * combo over the pairs, added into one table: every
+    sum of combinations in this library is this one.  Each combination
+    must lie in space; exact sums are order-free, so the result has the
+    rationals of chained scale and add."""
     acc: dict[int, Fraction] = {}
-    for c in combos:
-        for k, q in c.terms:
-            acc[k] = acc.get(k, 0) + q
+    for c, combo in pairs:
+        _require_same_space(combo.space, space)
+        if not c:
+            continue
+        terms = combo.terms if c == 1 else [(k, c * q) for k, q in combo.terms]
+        if not acc:
+            acc.update(terms)
+            continue
+        for k, q in terms:
+            old = acc.get(k)
+            acc[k] = q if old is None else old + q
     return FiniteCombo(space, acc)
 
 
@@ -306,10 +279,12 @@ Coefficient = Union[Fraction, CReal]
 
 def linear_combination(space: SpaceDescriptor,
                        pairs: Sequence[tuple[Coefficient, VectorName]]) -> VectorName:
-    """Sum of coefficient * vector over the pairs, with the error budget
-    split evenly; coefficients may be exact rationals or CReals.  When
+    """Sum of coefficient * vector over the pairs: the one sum of scaled
+    vector names.  Coefficients may be exact rationals or CReals.  When
     every vector is exact and every coefficient is a rational or an
-    exact CReal, the sum is an exact name."""
+    exact CReal, the sum is an exact name.  Otherwise the error budget
+    is split evenly: precision n reads each of the L terms within
+    2**-(n + 1 + L.bit_length()), so two unit terms are read at n + 3."""
     pairs = list(pairs)
     for _, v in pairs:
         _require_same_space(v.space, space)
@@ -319,27 +294,26 @@ def linear_combination(space: SpaceDescriptor,
     exact = [(c.exact_value if isinstance(c, CReal) else c, v.exact_combo)
              for c, v in pairs]
     if all(c is not None and v is not None for c, v in exact):
-        acc = FiniteCombo(space, {})
-        for c, v in exact:
-            acc = acc.add(v.scale(Fraction(c)))
-        return VectorName.from_combo(acc)
+        return VectorName.from_combo(
+            _combo_sum(space, [(Fraction(c), v) for c, v in exact]))
     shift = L.bit_length()
 
     def fn(n: int) -> FiniteCombo:
         t = n + 1 + shift          # per-term budget 2^-t, L terms <= 2^-(n+1)
-        acc = FiniteCombo(space, {})
+        scaled = []
         for c, v in pairs:
             if isinstance(c, CReal):
                 bc = ceil_int(abs(c.approx(0))) + 2      # >= |c| + 1
                 bv = v.approx(0).norm_upper() + 2        # >= ||v|| + 1
                 pv = t + 1 + bits_for(Fraction(bc))
                 pc = t + 1 + bits_for(Fraction(bv))
-                acc = acc.add(v.approx(pv).scale(c.approx(pc)))
+                combo = v.approx(pv)
+                scaled.append((c.approx(pc), combo))
             else:
                 c = Fraction(c)
                 if c:
-                    acc = acc.add(v.approx(t + bits_for(abs(c))).scale(c))
-        return acc
+                    scaled.append((c, v.approx(t + bits_for(abs(c)))))
+        return _combo_sum(space, scaled)
 
     return VectorName(space, fn)
 
@@ -366,7 +340,7 @@ def vec_norm(x: VectorName) -> CReal:
 
 
 def vec_distance(x: VectorName, y: VectorName) -> CReal:
-    return vec_norm(vec_sub(x, y))
+    return vec_norm(linear_combination(x.space, [(1, x), (-1, y)]))
 
 
 class FunctionalName:
@@ -416,7 +390,7 @@ def _bessel_sum(space: SpaceDescriptor, term: Callable[[int], VectorName],
             c = term(i).exact_combo
             if c is None:
                 break
-            prefix.append(c)
+            prefix.append((1, c))
         else:
             return VectorName.from_combo(_combo_sum(space, prefix))
     b_up = (upper if _rational_sqrt(upper) is not None
@@ -427,7 +401,7 @@ def _bessel_sum(space: SpaceDescriptor, term: Callable[[int], VectorName],
         count = certified_tail_cut(total, partial_at, theta, prec_for(theta),
                                    _term_limit(n), what=what)
         pad = count.bit_length() + 1
-        return _combo_sum(space, (term(i).approx(n + 1 + pad)
+        return _combo_sum(space, ((1, term(i).approx(n + 1 + pad))
                                   for i in range(count)))
 
     return VectorName(space, fn)

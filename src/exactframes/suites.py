@@ -43,7 +43,6 @@ from .hilbert import (
     riesz_functional,
     riesz_representer,
     vec_distance,
-    vec_lincomb,
     vec_norm,
 )
 from .directsum import SumName, SumSpace, fourier_to_sum, sum_to_fourier
@@ -170,7 +169,7 @@ def cauchy_consistency_battery(count: int = 1000,
         x = VectorName.from_combo(_rand_combo(rng, H))
         y = VectorName.from_combo(_rand_combo(rng, H))
         a, b = _rand_rational(rng, 12, 12), _rand_rational(rng, 12, 12)
-        vectors.append(vec_lincomb(a, x, b, y))
+        vectors.append(linear_combination(H, [(a, x), (b, y)]))
         c = inner_product(x, y)
         vectors.append(linear_combination(H, [(c, x), (Fraction(1, 2), y)]))
 

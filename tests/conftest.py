@@ -37,6 +37,12 @@ def random_combo(rng: random.Random, space, max_terms=8, den=16, indices=24):
     return combo(space, terms)
 
 
+def off_by_one_unit(c: FiniteCombo, k: int) -> VectorName:
+    """A lazy name of c whose approx(m) is off by exactly 2^-m at index k."""
+    return VectorName(c.space, lambda m: c.add(
+        FiniteCombo(c.space, {k: Fraction(1, 1 << m)})))
+
+
 def finishes(fn, timeout=5):
     """Run fn in a daemon thread; True when it returned within the timeout."""
     done = []

@@ -188,6 +188,19 @@ class TestExitCodes:
     def test_negative_precision_override_is_a_parse_error(self, tmp_path):
         assert run_eval(tmp_path, DEMO, extra=["--precision", "-3"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "option", ["--task", "--precision", "--max-precision", "--threads"])
+    def test_option_values_are_ascii_digits(self, tmp_path, capsys, option):
+        # other scripts' digits, superscripts and underscores are refused
+        # by argparse before anything runs
+        for value in ["\u0663", "\u0660", "\u00b3", "1_0", "-\u0663"]:
+            assert run_eval(tmp_path, DEMO, [option, value]) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (f"argument {option}: expected ASCII decimal digits"
+                    in captured.err)
+            assert "Traceback" not in captured.err
+
     def test_resolve_error(self, tmp_path):
         text = "version 1\nspace H infinite\ntask norm ghost precision 5\n"
         assert run_eval(tmp_path, text) == EXIT_RESOLVE

@@ -24,8 +24,8 @@ from exactframes import (
     synthesis,
     toeplitz_upper_gframe,
     upper_u_operator,
+    linear_combination,
     vec_distance,
-    vec_lincomb,
     vec_norm,
 )
 from exactframes.gallery import _effective_prefix
@@ -95,9 +95,10 @@ class TestUpperOperator:
             for m in grid:
                 bound = pow2(-n) + pow2(-m)
                 assert at[n].sub(at[m]).norm_squared() <= bound * bound
-        lhs = U.apply(vec_lincomb(F(2), f, F(1, 2), basis_vector(H, 1)))
-        rhs = vec_lincomb(F(2), U.apply(f), F(1, 2),
-                          U.apply(basis_vector(H, 1)))
+        lhs = U.apply(linear_combination(
+            H, [(F(2), f), (F(1, 2), basis_vector(H, 1))]))
+        rhs = linear_combination(
+            H, [(F(2), U.apply(f)), (F(1, 2), U.apply(basis_vector(H, 1)))])
         assert vec_distance(lhs, rhs).approx(25) <= pow2(-25)
         norm_out = vec_norm(out).approx(20)
         norm_in = vec_norm(f).approx(20)

@@ -65,7 +65,6 @@ from exactframes import (
     synthesis,
     upper_u_operator,
     vec_distance,
-    vec_lincomb,
     vec_norm,
     vector_from_coefficients,
     zero_operator,
@@ -76,7 +75,8 @@ from exactframes.realcore import (bits_for, creal_mul, creal_scale, pow2,
 from exactframes.suites import standard_frames
 
 from conftest import (assert_same_outcomes, claimed_total, claims, combo,
-                      exact_prefixes, finishes, random_combo, vec)
+                      exact_prefixes, finishes, off_by_one_unit, random_combo,
+                      vec)
 
 F = Fraction
 
@@ -117,8 +117,9 @@ class TestOperatorNames:
         rng = random.Random(4)
         x = VectorName.from_combo(random_combo(rng, H))
         y = VectorName.from_combo(random_combo(rng, H))
-        lhs = op.apply(vec_lincomb(F(2), x, F(-1, 3), y))
-        rhs = vec_lincomb(F(2), op.apply(x), F(-1, 3), op.apply(y))
+        lhs = op.apply(linear_combination(H, [(F(2), x), (F(-1, 3), y)]))
+        rhs = linear_combination(
+            H, [(F(2), op.apply(x)), (F(-1, 3), op.apply(y))])
         assert vec_distance(lhs, rhs).approx(25) <= pow2(-25)
 
     def test_apply_is_memoised(self, H, weighted):
@@ -191,6 +192,22 @@ class TestRieszCorrespondence:
         for i, t in enumerate(targets):
             d = vec_distance(frame(i), VectorName.from_combo(t)).approx(30)
             assert d <= pow2(-30)
+
+    def test_lazy_input_stays_within_the_bound(self, H):
+        atoms = [combo(H, {0: F(1, 2), 1: F(-1)}), combo(H, {1: F(2, 3)})]
+        G = riesz_correspondence(
+            lambda i: (VectorName.from_combo(atoms[i]), creal_sqrt(
+                creal_from_rational(atoms[i].norm_squared()))), F(1), F(2))
+        c = combo(H, {0: F(1, 3), 1: F(-2, 5), 3: F(1, 7)})
+        with pytest.MonkeyPatch.context() as mp:
+            # no precision grid, so no slack from rounding a query up
+            mp.setattr(hilbert, "quantize_precision", lambda n: n)
+            mp.setattr(realcore, "quantize_precision", lambda n: n)
+            for i, atom in enumerate(atoms):
+                for k in (0, 1, 3):
+                    for n in (0, 8, 32):
+                        got = G.op(i).apply(off_by_one_unit(c, k)).approx(n)
+                        assert abs(got.coeff(0) - c.inner(atom)) <= pow2(-n)
 
     def test_zero_atoms_allowed(self, H):
         def atoms(i):
@@ -537,6 +554,67 @@ class TestBlockGFrame:
             for got in (dual.op(i).apply(f), out.component(i)):
                 assert got.approx(n).sub(want).norm_squared() <= pow2(-2 * n)
         mass = sum((q * q for q in coeffs.values()), F(0))
+        assert abs(out.normsq.approx(n) - mass) <= pow2(-n)
+        for n in (16, 32):
+            got = reconstruct(G, norms, ao, f).approx(n)
+            assert got.sub(f.exact_combo).norm_squared() <= pow2(-2 * n)
+
+
+# prefix atoms q e_k with q^2 in [9/16, 16/9]; each index below the tail
+# start T carries one or two of them, and at most one sits on top of the
+# tail, so the frame operator is an exact diagonal with weights in [1/2, 4]
+_atom_coefficients = st.sampled_from([s * q for s in (1, -1)
+                                      for q in (F(3, 4), F(1), F(5, 4), F(4, 3))])
+
+
+@st.composite
+def _basis_multiple_atoms(draw):
+    T = draw(st.integers(0, 3))
+    atoms = [(k, q) for k in range(T)
+             for q in draw(st.lists(_atom_coefficients, min_size=1, max_size=2))]
+    extra = draw(st.lists(st.integers(T, T + 3), max_size=2, unique=True))
+    atoms += [(k, draw(_atom_coefficients)) for k in extra]
+    return T, draw(st.permutations(atoms))
+
+
+class TestAtomsGFrame:
+    @settings(max_examples=20, deadline=None)
+    @given(frame=_basis_multiple_atoms(),
+           coeffs=st.dictionaries(st.integers(0, 7),
+                                  st.fractions(-3, 3, max_denominator=9)))
+    def test_atoms_against_exact_values(self, frame, coeffs):
+        # S e_k = w_k e_k with w_k the sum of q^2 over the atoms at k,
+        # plus 1 on the tail; the dual's values are q f_k / w_k and the
+        # pseudo-inverse mass is the sum of f_k^2 / w_k
+        T, atoms = frame
+        H = SpaceDescriptor()
+        weight = {k: F(1) for k in range(T, T + 4)}
+        for k, q in atoms:
+            weight[k] = weight.get(k, F(0)) + q * q
+        prefix = [combo(H, {k: q}) for k, q in atoms]
+        G, norms, ao, _ = atoms_gframe(H, prefix, T - len(prefix),
+                                       min(weight.values()),
+                                       max(weight.values()))
+
+        def w(k):
+            return weight.get(k, F(1))
+
+        def dual_value(i):
+            k, q = atoms[i] if i < len(atoms) else (i - len(atoms) + T, F(1))
+            return q * coeffs.get(k, 0) / w(k)
+
+        n = 16
+        f = vec(H, coeffs)
+        want_s = combo(H, {k: w(k) * q for k, q in coeffs.items()})
+        got_s = frame_operator(G, norms, ao).apply(f).approx(n)
+        assert got_s.sub(want_s).norm_squared() <= pow2(-2 * n)
+        dual, _ = canonical_dual_pair(G, norms, ao)
+        out = pseudo_inverse(G, norms, ao).apply(f)
+        for i in range(len(atoms) + 8):
+            want = dual_value(i)
+            for got in (dual.op(i).apply(f), out.component(i)):
+                assert abs(got.approx(n).coeff(0) - want) <= pow2(-n)
+        mass = sum((q * q / w(k) for k, q in coeffs.items()), F(0))
         assert abs(out.normsq.approx(n) - mass) <= pow2(-n)
         for n in (16, 32):
             got = reconstruct(G, norms, ao, f).approx(n)
@@ -1022,12 +1100,6 @@ class TestReconstructionPaths:
         assert precisions == [72]
 
 
-def _off_by_one_unit(c: FiniteCombo, k: int) -> VectorName:
-    """A lazy name of c whose approx(m) is off by exactly 2^-m at index k."""
-    return VectorName(c.space,
-                      lambda m: c.add(FiniteCombo(c.space, {k: pow2(-m)})))
-
-
 _SPECKER = SpeckerData.from_prefix([1, 3])
 _GATE = NormOracle.exact(F(17, 256))
 
@@ -1060,7 +1132,7 @@ class TestBoundedOperatorRule:
         T, k = _BOUNDED_OPERATOR_USERS[name](H)
         c = combo(H, {0: F(1, 3), 1: F(-2, 5), 3: F(1, 7)})
         for n in (8, 16, 32):
-            got = T.apply(_off_by_one_unit(c, k)).approx(n)
+            got = T.apply(off_by_one_unit(c, k)).approx(n)
             # the exact-input image, itself read within 2^-(n+24)
             want = T.apply(VectorName.from_combo(c)).approx(n + 24)
             slack = pow2(-n) + pow2(-(n + 24))

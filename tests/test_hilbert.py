@@ -3,7 +3,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from exactframes import (
     CReal,
@@ -22,13 +22,14 @@ from exactframes import (
     riesz_functional,
     riesz_representer,
     vec_distance,
-    vec_lincomb,
     vec_norm,
     vector_from_coefficients,
 )
-from exactframes.realcore import pow2
+from exactframes import hilbert, realcore
+from exactframes.realcore import bits_for, ceil_int, pow2
 
 from conftest import (assert_same_outcomes, claimed_total, claims, combo,
+                      off_by_one_unit,
                       exact_prefixes, random_combo, vec)
 
 F = Fraction
@@ -118,36 +119,153 @@ class TestBasisVectors:
 
 class TestLincomb:
     def test_basis_sum(self, H):
-        v = vec_lincomb(F(1), basis_vector(H, 0), F(1), basis_vector(H, 1))
+        v = linear_combination(
+            H, [(F(1), basis_vector(H, 0)), (F(1), basis_vector(H, 1))])
         assert v.approx(10).terms == ((0, F(1)), (1, F(1)))
 
     def test_zero_coefficients(self, H):
-        v = vec_lincomb(F(0), vec(H, {0: 1}), F(0), vec(H, {1: 1}))
+        v = linear_combination(H, [(F(0), vec(H, {0: 1})),
+                                   (F(0), vec(H, {1: 1}))])
         assert v.approx(20).is_zero()
 
     def test_cancellation(self, H):
         e0 = basis_vector(H, 0)
-        v = vec_lincomb(F(1, 2), e0, F(-1, 2), e0)
+        v = linear_combination(H, [(F(1, 2), e0), (F(-1, 2), e0)])
         assert v.approx(40).norm_squared() <= pow2(-80)
 
     def test_space_mismatch(self, H):
         other = SpaceDescriptor()
         with pytest.raises(SpaceMismatchError):
-            vec_lincomb(F(1), basis_vector(H, 0), F(1), basis_vector(other, 0))
+            linear_combination(H, [(F(1), basis_vector(H, 0)),
+                                   (F(1), basis_vector(other, 0))])
 
     def test_name_consistency(self, H):
         rng = random.Random(3)
         for _ in range(10):
             x = VectorName.from_combo(random_combo(rng, H))
             y = VectorName.from_combo(random_combo(rng, H))
-            v = vec_lincomb(F(rng.randint(-9, 9), rng.randint(1, 9)), x,
-                            F(rng.randint(-9, 9), rng.randint(1, 9)), y)
+            v = linear_combination(
+                H, [(F(rng.randint(-9, 9), rng.randint(1, 9)), x),
+                    (F(rng.randint(-9, 9), rng.randint(1, 9)), y)])
             grid = [0, 7, 16, 35]
             at = {n: v.approx(n) for n in grid}
             for n in grid:
                 for m in grid:
                     bound = pow2(-n) + pow2(-m)
                     assert at[n].sub(at[m]).norm_squared() <= bound * bound
+
+
+def _chained_add(a, b):
+    # the former FiniteCombo.add: copy one table, add the other into it
+    acc = dict(a.terms)
+    for k, q in b.terms:
+        acc[k] = acc.get(k, F(0)) + q
+    return FiniteCombo(a.space, acc)
+
+
+def _chained_exact(space, pairs):
+    # the former exact branch of linear_combination: acc.add(v.scale(c))
+    acc = FiniteCombo(space, {})
+    for c, v in pairs:
+        c = c.exact_value if isinstance(c, CReal) else c
+        acc = _chained_add(acc, v.exact_combo.scale(F(c)))
+    return acc
+
+
+def _chained_lazy(space, pairs, n):
+    # the former lazy branch of linear_combination at precision n
+    t = n + 1 + len(pairs).bit_length()
+    acc = FiniteCombo(space, {})
+    for c, v in pairs:
+        if isinstance(c, CReal):
+            bc = ceil_int(abs(c.approx(0))) + 2
+            bv = v.approx(0).norm_upper() + 2
+            pv = t + 1 + bits_for(F(bc))
+            pc = t + 1 + bits_for(F(bv))
+            acc = _chained_add(acc, v.approx(pv).scale(c.approx(pc)))
+        elif c:
+            acc = _chained_add(acc, v.approx(t + bits_for(abs(c))).scale(c))
+    return acc
+
+
+_small_rationals = st.fractions(-3, 3, max_denominator=8)
+# a coefficient as (kind, value): zero, a rational, or a CReal that is
+# exact or exactly 2^-m off at every precision m
+_coefficients = st.tuples(
+    st.sampled_from(["rational", "exact creal", "lazy creal"]),
+    st.one_of(st.just(F(0)), _small_rationals))
+# overlapping supports on six indices; a vector may be exactly 2^-m off
+# at one index (lazy), or exact (None)
+_terms = st.dictionaries(st.integers(0, 5), _small_rationals, max_size=4)
+_pairs = st.lists(
+    st.tuples(_coefficients, _terms, st.one_of(st.none(), st.integers(0, 5))),
+    min_size=1, max_size=5)
+
+
+def _coefficient(kind, q):
+    if kind == "rational":
+        return q
+    if kind == "exact creal":
+        return creal_from_rational(q)
+    return CReal(lambda m: q + pow2(-m))
+
+
+def _named_pairs(H, drawn, cancel, lazy):
+    """(coefficient, vector) pairs and the exact pairs they name; with
+    cancel the first pair is repeated with its coefficient negated."""
+    if cancel:
+        (kind, q), terms, off = drawn[0]
+        drawn = drawn + [((kind, -q), terms, off)]
+    named, exact = [], []
+    for (kind, q), terms, off in drawn:
+        c = combo(H, terms)
+        if not lazy:
+            kind, off = ("rational" if kind == "lazy creal" else kind), None
+        v = (VectorName.from_combo(c) if off is None
+             else off_by_one_unit(c, off))
+        named.append((_coefficient(kind, q), v))
+        exact.append((q, VectorName.from_combo(c)))
+    return named, exact
+
+
+class TestAccumulator:
+    """linear_combination adds every pair into one table; the result is
+    the one the former chained scale-and-add gave, term for term."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_pairs, cancel=st.booleans())
+    def test_exact_pairs_give_the_chained_sum(self, drawn, cancel):
+        H = SpaceDescriptor()
+        named, _ = _named_pairs(H, drawn, cancel, lazy=False)
+        got = linear_combination(H, named).exact_combo
+        assert got is not None
+        assert got.terms == _chained_exact(H, named).terms
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=_pairs, cancel=st.booleans())
+    def test_lazy_pairs_keep_the_chained_schedule(self, drawn, cancel):
+        H = SpaceDescriptor()
+        named, exact = _named_pairs(H, drawn, cancel, lazy=True)
+        want = _chained_exact(H, exact)
+        with pytest.MonkeyPatch.context() as mp:
+            # no precision grid: a schedule changed by a few bits would
+            # otherwise round to the same grid point and go unseen
+            mp.setattr(hilbert, "quantize_precision", lambda n: n)
+            mp.setattr(realcore, "quantize_precision", lambda n: n)
+            name = linear_combination(H, named)
+            for n in (0, 8, 32):
+                got = name.approx(n)
+                assert got.terms == _chained_lazy(H, named, n).terms
+                assert got.sub(want).norm_squared() <= pow2(-2 * n)
+
+    def test_every_space_is_checked(self, H):
+        other = SpaceDescriptor()
+        a, b = combo(H, {0: 1}), combo(other, {0: 1})
+        for bad in (lambda: a.add(b), lambda: a.sub(b),
+                    lambda: linear_combination(
+                        H, [(F(0), VectorName.from_combo(b))])):
+            with pytest.raises(SpaceMismatchError):
+                bad()
 
 
 class TestInnerProduct:
