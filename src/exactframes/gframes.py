@@ -47,6 +47,7 @@ from .hilbert import (
     VectorName,
     _bessel_expansion,
     _bessel_sum,
+    _combo_sum,
     _coordinate,
     _rational_sqrt,
     basis_vector,
@@ -572,7 +573,7 @@ def richardson_iterate(S: OperatorName, lower: Fraction, upper: Fraction,
         if high + 32 <= target:
             grid = precision + 2 + (len(u.terms).bit_length() + 1) // 2
             return u.rounded(grid)
-        u = u.add(r.scale(omega))
+        u = _combo_sum(S.dom, ((1, u), (omega, r)))
         grid = p + (len(u.terms).bit_length() + 1) // 2 + 1
         u = u.rounded(grid)     # snap error <= 2**-(p+2)
         allowed = ceil_int(rho * (high + 32)) + drift + 64
@@ -604,7 +605,7 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
 
     Every dual component and the dual's analysis mass apply the inverse
     to the same input, so the iterates are shared per input name and
-    quantised precision.  The table is keyed weakly and holds nothing
+    precision.  The table is keyed weakly and holds nothing
     that refers to the input, so it goes when the input does; the first
     iterate stored wins a race."""
     lower, upper = Fraction(lower), Fraction(upper)

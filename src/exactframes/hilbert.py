@@ -28,6 +28,7 @@ from .realcore import (
     CReal,
     CRealSeq,
     PrefixSums,
+    _Memo,
     _exact_prefix_count,
     _term_limit,
     bits_for,
@@ -40,7 +41,6 @@ from .realcore import (
     format_rational,
     pow2,
     prec_for,
-    quantize_precision,
 )
 
 _space_counter = itertools.count(1)
@@ -196,13 +196,13 @@ class VectorName:
     """A point of a space as a Cauchy name.
 
     approx(n) is a finite combination within 2**-n of the point in norm.
-    Approximations are memoised per quantised precision; instances are
-    immutable and safe to share across threads.  An exact instance
-    answers every query with its combination and holds no memo and no
-    lock.
+    Approximations are memoised per precision asked, in a _Memo as for
+    CReal, the first one stored winning; instances are immutable and
+    safe to share across threads.  An exact instance answers every query
+    with its combination and holds no memo.
     """
 
-    __slots__ = ("space", "_fn", "_exact", "_cache", "_lock", "__weakref__")
+    __slots__ = ("space", "_fn", "_exact", "_memo", "__weakref__")
 
     def __init__(self, space: SpaceDescriptor,
                  fn: Optional[Callable[[int], FiniteCombo]] = None,
@@ -212,11 +212,7 @@ class VectorName:
         self.space = space
         self._fn = fn
         self._exact = exact
-        if exact is not None:
-            self._cache = self._lock = None
-        else:
-            self._cache: dict[int, FiniteCombo] = {}
-            self._lock = threading.RLock()
+        self._memo = None if exact is not None else _Memo()
 
     @classmethod
     def from_combo(cls, c: FiniteCombo) -> "VectorName":
@@ -231,14 +227,13 @@ class VectorName:
             raise ValueError("precision must be a natural number")
         if self._exact is not None:
             return self._exact
-        q = quantize_precision(n)
-        with self._lock:
-            got = self._cache.get(q)
-            if got is None:
-                got = self._fn(q)
-                _require_same_space(got.space, self.space)
-                self._cache[q] = got
-            return got
+        memo = self._memo          # get and store, as in CReal.approx
+        got = memo.get(n)
+        if got is None:
+            fresh = self._fn(n)
+            _require_same_space(fresh.space, self.space)
+            got = memo.store(n, fresh)
+        return got
 
     @property
     def exact_combo(self) -> Optional[FiniteCombo]:

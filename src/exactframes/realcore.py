@@ -86,30 +86,20 @@ def prec_for(threshold: Fraction) -> int:
     return bits_for(1 / Fraction(threshold))
 
 
-def quantize_precision(n: int) -> int:
-    """Round a precision request up to a multiple of 8.
-
-    A 2**-q approximation with q >= n is also a 2**-n approximation, so
-    evaluating on a coarse grid of precisions is sound; it collapses the
-    many nearby precisions produced by scheduling pads into shared
-    memoised computations.
-    """
-    return ((n + 7) >> 3) << 3
-
-
 class CReal:
     """A real number as a precision-query oracle.
 
     approx(n) returns a rational within 2**-n of the represented value.
-    Queries are rounded up to a coarse precision grid and memoised per
-    grid point; the memo is the only mutable state and is lock-guarded,
-    so instances are immutable values safe to share and evaluate from
-    several threads.  Memoisation is observationally pure: a given n
-    always yields the same rational.  An exact instance answers every
-    query with its rational and holds no memo and no lock.
+    Each answer is computed for the n asked and kept in a _Memo keyed by
+    n; the memo is the only mutable state, so instances are immutable
+    values safe to share and evaluate from several threads.  Threads
+    that race on one n may both compute, and every caller gets the first
+    answer stored, so a given n always yields the same rational.  An
+    exact instance answers every query with its rational and holds no
+    memo.
     """
 
-    __slots__ = ("_fn", "_exact", "_cache", "_lock")
+    __slots__ = ("_fn", "_exact", "_memo")
 
     def __init__(self, fn: Optional[Callable[[int], Fraction]] = None,
                  exact: Optional[Fraction] = None):
@@ -118,24 +108,23 @@ class CReal:
         self._fn = fn
         if exact is not None:
             self._exact = exact if type(exact) is Fraction else Fraction(exact)
-            self._cache = self._lock = None
+            self._memo = None
         else:
             self._exact = None
-            self._cache: dict[int, Fraction] = {}
-            self._lock = threading.RLock()
+            self._memo = _Memo()
 
     def approx(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("precision must be a natural number")
         if self._exact is not None:
             return self._exact
-        q = quantize_precision(n)
-        with self._lock:
-            got = self._cache.get(q)
-            if got is None:
-                got = Fraction(self._fn(q))
-                self._cache[q] = got
-            return got
+        # get and store, not lookup: lookup would keep two more frames on
+        # the stack per nested name while the oracle runs
+        memo = self._memo
+        got = memo.get(n)
+        if got is None:
+            got = memo.store(n, Fraction(self._fn(n)))
+        return got
 
     @property
     def exact_value(self) -> Optional[Fraction]:
@@ -160,10 +149,11 @@ class CReal:
         # never force an evaluation from repr: show only what is cached
         if self._exact is not None:
             return f"CReal({format_rational(self._exact)})"
-        with self._lock:
-            if self._cache:
-                n = max(self._cache)
-                return f"CReal(~{format_rational(self._cache[n])} @{n})"
+        memo = self._memo
+        with memo._lock:
+            n = max(memo._table, default=None)
+        if n is not None:
+            return f"CReal(~{format_rational(memo._table[n])} @{n})"
         return "CReal(<unevaluated>)"
 
 
@@ -264,14 +254,16 @@ def creal_sqrt(x: CReal) -> CReal:
 class _Memo:
     """A table of values built once per key; the first value stored wins.
 
-    lookup(key, build, *args) returns the value stored under key, or
-    stores and returns build(*args).  A hit takes no lock.  A missing
+    get(key) returns the value stored under key, or None, and takes no
+    lock.  store(key, fresh) stores fresh with setdefault under the
+    memo's lock and returns whatever is stored then, so when two threads
+    race, the first stored value wins and every caller returns that one
+    object.  lookup(key, build, *args) is the two together: a missing
     value is built with no lock held, so a builder may read other
-    entries of its own table; it is then stored with setdefault under
-    the memo's lock, so when two threads race, the first stored value
-    wins and every caller returns that one object.  The build function
-    is passed on every call rather than stored, so an owner can pass its
-    own bound method without making a reference cycle.
+    entries of its own table.  The build function is passed on every
+    call rather than stored, so an owner can pass its own bound method
+    without making a reference cycle.  This is the library's one
+    per-key and per-precision memo.
     """
 
     __slots__ = ("_table", "_lock")
@@ -280,12 +272,17 @@ class _Memo:
         self._table: dict = {}
         self._lock = threading.Lock()
 
+    def get(self, key):
+        return self._table.get(key)
+
+    def store(self, key, fresh):
+        with self._lock:
+            return self._table.setdefault(key, fresh)
+
     def lookup(self, key, build: Callable, *args):
-        got = self._table.get(key)
+        got = self.get(key)
         if got is None:
-            fresh = build(*args)
-            with self._lock:
-                got = self._table.setdefault(key, fresh)
+            got = self.store(key, build(*args))
         return got
 
 

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from exactframes import (FiniteCombo, PrecisionExhaustionError, SpaceDescriptor,
-                         VectorName)
+from exactframes import (CReal, FiniteCombo, PrecisionExhaustionError,
+                         SpaceDescriptor, VectorName)
 
 # tests that run `python -m exactframes` in a fresh process import this checkout
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -37,10 +37,22 @@ def random_combo(rng: random.Random, space, max_terms=8, den=16, indices=24):
     return combo(space, terms)
 
 
-def off_by_one_unit(c: FiniteCombo, k: int) -> VectorName:
-    """A lazy name of c whose approx(m) is off by exactly 2^-m at index k."""
+def off_by_one_unit(c: FiniteCombo, k: int, side: int = 1) -> VectorName:
+    """A lazy name of c whose approx(m) is off by exactly side * 2^-m at
+    index k, side being 1 or -1."""
     return VectorName(c.space, lambda m: c.add(
-        FiniteCombo(c.space, {k: Fraction(1, 1 << m)})))
+        FiniteCombo(c.space, {k: Fraction(side, 1 << m)})))
+
+
+def off_by_one_unit_real(v: Fraction, side: int) -> CReal:
+    """A lazy name of v whose approx(m) is exactly v + side * 2^-m, side
+    being 1 or -1: a leaf that spends its whole error budget."""
+    return CReal(lambda m: v + Fraction(side, 1 << m))
+
+
+# an adversarial leaf: its value, and the side its answers err on
+adversarial_leaves = st.tuples(st.fractions(-4, 4, max_denominator=12),
+                               st.sampled_from([-1, 1]))
 
 
 def finishes(fn, timeout=5):

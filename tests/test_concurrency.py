@@ -11,6 +11,7 @@ from exactframes import (
     FrameName,
     GFrameName,
     SumName,
+    VectorName,
     basis_vector,
     creal_sqrt,
     creal_from_rational,
@@ -25,7 +26,7 @@ from exactframes import (
 
 from exactframes.realcore import ONE, PrefixSums
 
-from conftest import vec
+from conftest import combo, vec
 
 F = Fraction
 
@@ -86,6 +87,34 @@ def test_shared_inverse_keeps_one_iterate_per_precision(H):
     # a lost update would hand different threads different iterates
     assert all(x is got[0] for x in got)
     assert inv.apply(f).approx(20) is got[0]
+
+
+def test_lazy_names_hand_every_thread_one_answer(H):
+    def slow(make):
+        def fn(n):
+            time.sleep(0)       # let another thread in while it computes
+            return make(n)      # a new object on every call
+        return fn
+
+    x = CReal(slow(lambda n: F(1, 3) + F(1, 1 << n)))
+    v = VectorName(H, slow(lambda n: combo(H, {0: F(1, 3), 2: F(1, 1 << n)})))
+    start = threading.Barrier(6, timeout=60)    # one party per worker
+
+    def ask():
+        start.wait()
+        return x.approx(21), v.approx(21)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = hammer(ask)
+    finally:
+        sys.setswitchinterval(interval)
+    # racing threads may each compute, but the first answer stored is the
+    # one every caller gets
+    for k, shared in enumerate(got[0]):
+        assert all(run[k] is shared for run in got)
+    assert x.approx(21) is got[0][0] and v.approx(21) is got[0][1]
 
 
 def test_shared_prefix_sums_keep_terms_in_order():

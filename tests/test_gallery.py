@@ -29,7 +29,7 @@ from exactframes import (
     vec_norm,
 )
 from exactframes.gallery import _effective_prefix
-from exactframes.realcore import _term_limit, pow2, quantize_precision
+from exactframes.realcore import _term_limit, pow2
 
 from conftest import combo, vec
 
@@ -282,7 +282,7 @@ class TestDualExpansionExact:
         gate = NormOracle.exact(s.sum_of_squares(len(exponents)))
         v = vec(H, terms)
         got = gated_dual_tau(H, ToeplitzUpperU(s), gate).op(0).apply(v).approx(n)
-        want = _fraction_dual(H, s, gate, v.exact_combo, quantize_precision(n))
+        want = _fraction_dual(H, s, gate, v.exact_combo, n)
         assert got.terms == want.terms
 
 

@@ -70,8 +70,7 @@ from exactframes import (
     zero_operator,
 )
 from exactframes import directsum, gallery, gframes, hilbert, realcore
-from exactframes.realcore import (bits_for, creal_mul, creal_scale, pow2,
-                                  quantize_precision)
+from exactframes.realcore import bits_for, creal_mul, creal_scale, pow2
 from exactframes.suites import standard_frames
 
 from conftest import (assert_same_outcomes, claimed_total, claims, combo,
@@ -199,15 +198,11 @@ class TestRieszCorrespondence:
             lambda i: (VectorName.from_combo(atoms[i]), creal_sqrt(
                 creal_from_rational(atoms[i].norm_squared()))), F(1), F(2))
         c = combo(H, {0: F(1, 3), 1: F(-2, 5), 3: F(1, 7)})
-        with pytest.MonkeyPatch.context() as mp:
-            # no precision grid, so no slack from rounding a query up
-            mp.setattr(hilbert, "quantize_precision", lambda n: n)
-            mp.setattr(realcore, "quantize_precision", lambda n: n)
-            for i, atom in enumerate(atoms):
-                for k in (0, 1, 3):
-                    for n in (0, 8, 32):
-                        got = G.op(i).apply(off_by_one_unit(c, k)).approx(n)
-                        assert abs(got.coeff(0) - c.inner(atom)) <= pow2(-n)
+        for i, atom in enumerate(atoms):
+            for k in (0, 1, 3):
+                for n in (0, 8, 32):
+                    got = G.op(i).apply(off_by_one_unit(c, k)).approx(n)
+                    assert abs(got.coeff(0) - c.inner(atom)) <= pow2(-n)
 
     def test_zero_atoms_allowed(self, H):
         def atoms(i):
@@ -1096,8 +1091,8 @@ class TestReconstructionPaths:
         f = vec(H, {1: F(1, 3), 2: F(-2, 5)})
         got = reconstruct(G, norms, ao, f).approx(64)
         assert got.sub(f.exact_combo).norm_squared() <= pow2(-128)
-        # n + 1 + bits_for(4) = 67, quantised to 72
-        assert precisions == [72]
+        # n + 1 + bits_for(4) = 67
+        assert precisions == [67]
 
 
 _SPECKER = SpeckerData.from_prefix([1, 3])
@@ -1146,6 +1141,6 @@ class TestBoundedOperatorRule:
             asked = []
             f = VectorName(H, lambda m: asked.append(m) or c)
             got = S.apply(f).approx(n)
-            assert max(asked) <= quantize_precision(n + 1 + bits_for(G.upper))
+            assert max(asked) <= n + 1 + bits_for(G.upper)
             want = combo(H, {0: F(4, 3), 1: F(-1, 10)})
             assert got.sub(want).norm_squared() <= pow2(-2 * n)

@@ -25,12 +25,12 @@ from exactframes import (
     vec_norm,
     vector_from_coefficients,
 )
-from exactframes import hilbert, realcore
+from exactframes.hilbert import _coordinate
 from exactframes.realcore import bits_for, ceil_int, pow2
 
-from conftest import (assert_same_outcomes, claimed_total, claims, combo,
-                      off_by_one_unit,
-                      exact_prefixes, random_combo, vec)
+from conftest import (adversarial_leaves, assert_same_outcomes, claimed_total,
+                      claims, combo, exact_prefixes, off_by_one_unit,
+                      off_by_one_unit_real, random_combo, vec)
 
 F = Fraction
 
@@ -247,16 +247,11 @@ class TestAccumulator:
         H = SpaceDescriptor()
         named, exact = _named_pairs(H, drawn, cancel, lazy=True)
         want = _chained_exact(H, exact)
-        with pytest.MonkeyPatch.context() as mp:
-            # no precision grid: a schedule changed by a few bits would
-            # otherwise round to the same grid point and go unseen
-            mp.setattr(hilbert, "quantize_precision", lambda n: n)
-            mp.setattr(realcore, "quantize_precision", lambda n: n)
-            name = linear_combination(H, named)
-            for n in (0, 8, 32):
-                got = name.approx(n)
-                assert got.terms == _chained_lazy(H, named, n).terms
-                assert got.sub(want).norm_squared() <= pow2(-2 * n)
+        name = linear_combination(H, named)
+        for n in (0, 8, 32):
+            got = name.approx(n)
+            assert got.terms == _chained_lazy(H, named, n).terms
+            assert got.sub(want).norm_squared() <= pow2(-2 * n)
 
     def test_every_space_is_checked(self, H):
         other = SpaceDescriptor()
@@ -266,6 +261,37 @@ class TestAccumulator:
                         H, [(F(0), VectorName.from_combo(b))])):
             with pytest.raises(SpaceMismatchError):
                 bad()
+
+
+_small_combos = st.dictionaries(st.integers(0, 5), _small_rationals,
+                                min_size=1, max_size=4)
+_off_units = st.tuples(_small_combos, st.integers(0, 5),
+                       st.sampled_from([-1, 1]))
+
+
+class TestAdversarialLeaves:
+    """Leaves whose answers are off by their whole 2^-m budget, on a drawn
+    side: a coordinate or an inner product that reads them with too
+    little margin shows it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(leaf=adversarial_leaves, k=st.integers(0, 5), n=st.integers(0, 40))
+    def test_coordinate_stays_within_the_bound(self, leaf, k, n):
+        H = SpaceDescriptor()
+        v, side = leaf
+        got = _coordinate(H, k, off_by_one_unit_real(v, side)).approx(n)
+        assert got.support in ((), (k,))
+        assert abs(got.coeff(k) - v) <= pow2(-n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=_off_units, y=_off_units, n=st.integers(0, 40))
+    def test_inner_product_stays_within_the_bound(self, x, y, n):
+        H = SpaceDescriptor()
+        (cx, kx, sx), (cy, ky, sy) = x, y
+        cx, cy = combo(H, cx), combo(H, cy)
+        got = inner_product(off_by_one_unit(cx, kx, sx),
+                            off_by_one_unit(cy, ky, sy)).approx(n)
+        assert abs(got - cx.inner(cy)) <= pow2(-n)
 
 
 class TestInnerProduct:
@@ -448,5 +474,5 @@ class TestExactClosure:
 
     def test_exact_names_hold_no_memo(self, H):
         v = vec(H, {2: 5})
-        assert v._cache is None and v._lock is None
+        assert v._memo is None
         assert v.approx(30) is v.exact_combo

@@ -40,7 +40,7 @@ from exactframes.realcore import (
     prec_for,
 )
 
-from conftest import finishes
+from conftest import adversarial_leaves, finishes, off_by_one_unit_real
 
 F = Fraction
 
@@ -97,7 +97,7 @@ class TestConstants:
         q = F(1, 3)
         x = creal_from_rational(q)
         assert x.exact_value is q
-        assert x._cache is None and x._lock is None
+        assert x._memo is None
         assert x.approx(40) is q
         assert repr(x) == "CReal(1/3)"
         assert creal_from_rational(2).exact_value == 2
@@ -181,6 +181,46 @@ class TestLimitContractViolation:
         lim = creal_limit(xs, lambda n: n)
         a, b = lim.approx(1), lim.approx(20)
         assert abs(a - b) > pow2(-1) + pow2(-20)
+
+
+# each operation over the leaves xs and a rational q, and its exact value
+# over the leaves' values vs
+_OVER_LEAVES = {
+    "creal_add": (lambda xs, q: creal_add(xs[0], xs[1]),
+                  lambda vs, q: vs[0] + vs[1]),
+    "creal_scale": (lambda xs, q: creal_scale(q, xs[0]),
+                    lambda vs, q: q * vs[0]),
+    "creal_mul": (lambda xs, q: creal_mul(xs[0], xs[1]),
+                  lambda vs, q: vs[0] * vs[1]),
+    "creal_sum": (lambda xs, q: creal_sum(xs), lambda vs, q: sum(vs)),
+}
+
+
+class TestAdversarialLeaves:
+    """Leaves whose answers are off by their whole 2^-m budget, on a drawn
+    side: an operation that reads them with too little margin shows it."""
+
+    @pytest.mark.parametrize("op", list(_OVER_LEAVES))
+    @settings(max_examples=200, deadline=None)
+    @given(leaves=st.lists(adversarial_leaves, min_size=2, max_size=5),
+           q=st.fractions(-9, 9, max_denominator=7), n=st.integers(0, 40))
+    def test_stays_within_the_bound(self, op, leaves, q, n):
+        build, value = _OVER_LEAVES[op]
+        xs = [off_by_one_unit_real(v, side) for v, side in leaves]
+        want = value([v for v, _ in leaves], q)
+        assert within(build(xs, q).approx(n), want, n)
+
+
+class TestDeepChains:
+    def test_a_chain_of_300_lazy_sums_evaluates(self):
+        # each level keeps approx and its oracle on the stack; reading the
+        # memo through _Memo.lookup would add two frames per level and pass
+        # the default recursion limit here
+        leaf = CReal(lambda n: F(1, 3))
+        x = leaf
+        for _ in range(300):
+            x = creal_add(x, leaf)
+        assert within(x.approx(8), F(301, 3), 8)
 
 
 class TestRepr:
