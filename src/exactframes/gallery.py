@@ -27,6 +27,7 @@ from .realcore import (
     CReal,
     SpeckerData,
     _term_limit,
+    bits_for,
     ceil_int,
     certified_tail_cut,
     creal_add,
@@ -243,12 +244,16 @@ def _effective_prefix(s: SpeckerData, gate: NormOracle, budget: Fraction,
 def _extend_reciprocal(bs: list[int], shifts: list[tuple[int, int]],
                        upto: int) -> None:
     """Extend bs to index upto with the reciprocal convolution symbol in
-    scaled integers: B_m = b_m * 2**w, b_0 = 1 and b_m = - sum over l of
-    a_l b_(m-l), each kept term a_l = 2**-shift given as (l, shift).
+    scaled integers: B_m ~ b_m * 2**w from B_0 = 2**w, where b_0 = 1 and
+    b_m = - sum over l of a_l b_(m-l), each kept term a_l = 2**-shift
+    given as (l, shift), and every shift floors.
 
-    The shifts are exact as long as 2**w bounds the denominator of every
-    b_m reached, e.g. w = upto * max(shift): a product of k terms has
-    denominator at most 2**(k * max(shift)), and k <= m.
+    The floors are exact while 2**w bounds the denominator of every b_m
+    reached, e.g. w = upto * max(shift): a product of k terms has
+    denominator at most 2**(k * max(shift)), and k <= m.  At any smaller
+    w it is a fixed-point expansion: each floor errs by less than one
+    unit and the K kept terms sum to sigma < 1, so by induction on m
+    every B_m lies within K / (1 - sigma) units of b_m * 2**w.
     """
     for m in range(len(bs), upto + 1):
         acc = 0
@@ -271,6 +276,21 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
     truncation of the terms (perturbation control through the l1 margin)
     and the certified margin drives the geometric envelope that
     truncates the b sequence.  An understated gate fails at construction.
+
+    The budget of approx(n) on an input c of l1 norm l1:
+    - the cut of the terms and the tail of the b sequence past depth
+      spend 2**-(n+4) each;
+    - the expansion runs in fixed point at W = n + 4 + bits(isqrt(depth)
+      + 1) + bits(l1 K / (1 - sigma)) bits, K kept terms of l1 mass
+      sigma.  Each coefficient errs by at most K / (1 - sigma) units of
+      2**-W (see _extend_reciprocal), so, over depth + 1 coefficients
+      convolved with c, the output errs in norm by at most
+      sqrt(depth + 1) l1 K / ((1 - sigma) 2**W) <= 2**-(n+4);
+    - each of the K' output coefficients is rounded once to the 2**-g
+      grid, g = n + 3 + bits(isqrt(K') + 1), which costs at most
+      sqrt(K') 2**-(g+1) <= 2**-(n+4).
+    That is 2**-(n+2) in all, and every output denominator is a power of
+    two no larger than 2**g.
     """
     _require_infinite(space)
     s = t.specker
@@ -298,23 +318,25 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
             w = cut * top
             bs = [1 << w]
             _extend_reciprocal(bs, shifts, cut)
-            # geometric envelope over blocks of length cut:
-            # sup |b| over block j <= sigma**j * sup over block 0
-            h0 = Fraction(max(abs(b) for b in bs), 1 << w)
-            tail_target = pow2(-(n + 4)) / l1
-            sigma2 = sigma * sigma
-            target2 = tail_target * tail_target
+            # geometric envelope over blocks of length cut: sup |b| over
+            # block j <= sigma**j * h0, h0 = sup over block 0 = H / 2**w;
+            # the tail mass cut h0^2 sigma^(2 blocks) / (1 - sigma^2) is
+            # held to (2^-(n+4) / l1)^2, compared by cross-multiplication
+            H = max(abs(b) for b in bs)
+            sn2, sd2 = sigma.numerator ** 2, sigma.denominator ** 2
+            mass = cut * H * H * sn2 * l1.numerator ** 2 << (2 * n + 8)
+            target = (sd2 - sn2) * l1.denominator ** 2 << (2 * w)
             blocks = 1
-            mass = cut * h0 * h0 * sigma2 / (1 - sigma2)
-            while mass > target2:
-                mass *= sigma2
+            while mass > target:
+                mass *= sn2
+                target *= sd2
                 blocks += 1
             depth = blocks * cut
-            extra = (depth - cut) * top
-            bs = [b << extra for b in bs]
-            w += extra
+            W = (n + 4 + bits_for(math.isqrt(depth) + 1)
+                 + bits_for(l1 * len(shifts) / (1 - sigma)))
+            bs = [1 << W]
             _extend_reciprocal(bs, shifts, depth)
-            # one common denominator L * 2**w for the whole output
+            # one common denominator L * 2**W for the whole output
             L = math.lcm(*(q.denominator for _, q in c.terms))
             nonzero = [(m, b) for m, b in enumerate(bs) if b]
             acc: dict[int, int] = {}
@@ -322,9 +344,14 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
                 nj = q.numerator * (L // q.denominator)
                 for m, b in nonzero:
                     acc[j + m] = acc.get(j + m, 0) + b * nj
-            den = L << w
-            return FiniteCombo(space, {k: Fraction(v, den)
-                                       for k, v in acc.items()})
+            den = L << W
+            half = den >> 1
+            g = n + 3 + bits_for(math.isqrt(len(acc)) + 1)
+            out = {}
+            for k, v in acc.items():
+                if r := ((v << g) + half) // den:
+                    out[k] = Fraction(r, 1 << g)
+            return FiniteCombo(space, out)
 
         return VectorName(space, fn)
 

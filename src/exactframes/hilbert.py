@@ -164,7 +164,12 @@ class FiniteCombo:
         return total
 
     def norm_squared(self) -> Fraction:
-        return sum((q * q for _, q in self.terms), Fraction(0))
+        """Exact, as integers over one common denominator: one gcd in all
+        rather than one per term."""
+        L = math.lcm(*(q.denominator for _, q in self.terms))
+        total = sum((q.numerator * (L // q.denominator)) ** 2
+                    for _, q in self.terms)
+        return Fraction(total, L * L)
 
     def norm_upper(self) -> int:
         """An integer upper bound on the norm."""

@@ -13,6 +13,7 @@ truncations.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -439,16 +440,30 @@ def _transpose(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def _forward_substitution_inverse(rows: list[list[Fraction]]
                                   ) -> list[list[Fraction]]:
-    """Inverse of a unit lower-triangular matrix, column by column."""
+    """Inverse of a unit lower-triangular matrix, column by column, in
+    integers over one common denominator.
+
+    With D the lcm of the entries' denominators (a power of two for the
+    gallery's terms), each entry of the inverse is a polynomial of degree
+    at most size - 1 in the entries, so its denominator divides
+    S = D**(size - 1).  A column is carried as integers X_i = S inv[i][j];
+    then D X_i = - sum over k < i of (D rows[i][k]) X_k, and the division
+    by D is exact."""
     size = len(rows)
+    D = math.lcm(*(q.denominator for row in rows for q in row))
+    S = D ** max(size - 1, 0)
+    below = [[(k, q.numerator * (D // q.denominator))
+              for k, q in enumerate(row[:i]) if q]
+             for i, row in enumerate(rows)]
     inv = [[Fraction(0)] * size for _ in range(size)]
     for j in range(size):
-        inv[j][j] = Fraction(1)
+        x = [0] * size
+        x[j] = S
         for i in range(j + 1, size):
-            acc = Fraction(0)
-            for k in range(j, i):
-                acc += rows[i][k] * inv[k][j]
-            inv[i][j] = -acc
+            x[i] = -(sum(r * x[k] for k, r in below[i]) // D)
+        for i in range(j, size):
+            if x[i]:
+                inv[i][j] = Fraction(x[i], S)
     return inv
 
 

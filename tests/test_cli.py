@@ -230,6 +230,60 @@ class TestExitCodes:
         assert run_eval(tmp_path, text) == EXIT_EXHAUSTION
 
 
+class TestDualTailTask:
+    """The slowest eval task of the benchmark's direct workload: the dual
+    of the upper-Toeplitz g-frame on terms 1/16, 1/4, 1/8 at precision
+    64, checked against a long Fraction truncation of the reciprocal
+    convolution."""
+
+    HEAD = ("version 1\nspace H infinite\nvector f H 0:-13/7 2:9/16 5:1/3\n"
+            "gallery UT upper-toeplitz H enum 3,1,2 gate {gate}\n")
+    F_TERMS = {0: F(-13, 7), 2: F(9, 16), 5: F(1, 3)}
+
+    @staticmethod
+    def _reference(size):
+        # b_0 = 1, b_m = -(a_1 b_(m-1) + a_2 b_(m-2) + a_3 b_(m-3)); the
+        # terms sum to 7/16 with lag at most 3, so |b_m| <= (7/16)^(m/3)
+        # (16/9) and the neglected tail past size = 600 is below 2^-230
+        a = {1: F(1, 16), 2: F(1, 4), 3: F(1, 8)}
+        bs = [F(1)]
+        for m in range(1, size):
+            bs.append(-sum(q * bs[m - l] for l, q in a.items() if l <= m))
+        out = {}
+        for j, q in TestDualTailTask.F_TERMS.items():
+            for m, b in enumerate(bs):
+                out[j + m] = out.get(j + m, F(0)) + b * q
+        return out
+
+    @staticmethod
+    def _value(report):
+        text = report.splitlines()[1].split(" = ")[1]
+        return {int(k): parse_rational(q)
+                for k, q in (tok.split(":") for tok in text.split())}
+
+    @staticmethod
+    def _dist_sq(u, v):
+        return sum(((u.get(k, 0) - v.get(k, 0)) ** 2 for k in set(u) | set(v)),
+                   F(0))
+
+    def test_answers_within_the_bound_at_both_precisions(self, tmp_path, capsys):
+        text = (self.HEAD.format(gate="21/256")
+                + "task dual-apply UT f precision 64\n"
+                + "task dual-apply UT f precision 32\n")
+        assert run_eval(tmp_path, text) == 0
+        reports = capsys.readouterr().out.strip().split("\n\n")
+        at64, at32 = (self._value(r) for r in reports)
+        want = self._reference(600)
+        assert self._dist_sq(at64, want) <= pow2(-128)
+        gap = pow2(-32) + pow2(-64)
+        assert self._dist_sq(at32, at64) <= gap * gap
+
+    def test_understated_gate_exits_4(self, tmp_path):
+        text = (self.HEAD.format(gate="21/512")
+                + "task dual-apply UT f precision 64\n")
+        assert run_eval(tmp_path, text) == EXIT_EXHAUSTION
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):
         run_eval(tmp_path, DEMO)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,8 @@ from exactframes import (
     vec_norm,
 )
 from exactframes.gallery import _effective_prefix
-from exactframes.realcore import _term_limit, pow2
+from exactframes.suites import _forward_substitution_inverse
+from exactframes.realcore import _term_limit, bits_for, pow2
 
 from conftest import combo, vec
 
@@ -239,17 +241,46 @@ def test_effective_prefix_reads_no_term_past_the_limit():
     assert max(asked) == 63
 
 
+def _fraction_forward_substitution(rows):
+    """The Fraction form of criterion 7's reference inverse."""
+    size = len(rows)
+    inv = [[F(0)] * size for _ in range(size)]
+    for j in range(size):
+        inv[j][j] = F(1)
+        for i in range(j + 1, size):
+            acc = F(0)
+            for k in range(j, i):
+                acc += rows[i][k] * inv[k][j]
+            inv[i][j] = -acc
+    return inv
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(0, 9), data=st.data())
+def test_forward_substitution_reference_matches_fraction_form(size, data):
+    entries = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=20),
+                        st.sampled_from([F(1, 4), F(1, 16), F(-1, 1 << 30)]))
+    # entries above the diagonal are drawn too: both forms ignore them
+    rows = [[F(1) if i == j else data.draw(entries) for j in range(size)]
+            for i in range(size)]
+    got = _forward_substitution_inverse(rows)
+    assert got == _fraction_forward_substitution(rows)
+    assert all(type(q) is Fraction for row in got for q in row)
+
+
 def _fraction_dual(space, s, gate, c, n):
-    """The dual's program on an exact combination, in Fraction arithmetic
-    throughout: the reference the scaled-integer expansion must match."""
+    """The dual's program on an exact combination with the expansion in
+    Fraction arithmetic throughout: the same cut and depth, with no
+    fixed point and no output grid.  Returns the combination and the
+    depth of the expansion."""
     if not c.terms:
-        return FiniteCombo(space, {})
+        return FiniteCombo(space, {}), 0
     l1 = sum(abs(q) for _, q in c.terms)
     l2_up = F(c.norm_upper())
     budget = pow2(-(n + 4)) / max(F(1), l2_up)
     cut, sigma = _effective_prefix(s, gate, budget, _term_limit(n))
     if sigma == 0:
-        return c
+        return c, 0
     h0 = max(abs(b) for b in _fraction_reciprocal(s, cut, cut))
     tail_target = pow2(-(n + 4)) / l1
     blocks = 1
@@ -263,13 +294,16 @@ def _fraction_dual(space, s, gate, c, n):
         for m, b in enumerate(bs):
             if b:
                 out[j + m] = out.get(j + m, F(0)) + b * q
-    return FiniteCombo(space, out)
+    return FiniteCombo(space, out), blocks * cut
 
 
 _rationals = st.builds(F, st.integers(-64, 64), st.integers(1, 48))
 
 
 class TestDualExpansionExact:
+    """The fixed-point expansion and its output grid together spend at
+    most 2^-(n+3) of the budget, measured against the exact expansion."""
+
     @settings(max_examples=60, deadline=None)
     @given(exponents=st.lists(st.integers(1, 12), min_size=1, max_size=4,
                               unique=True),
@@ -282,8 +316,16 @@ class TestDualExpansionExact:
         gate = NormOracle.exact(s.sum_of_squares(len(exponents)))
         v = vec(H, terms)
         got = gated_dual_tau(H, ToeplitzUpperU(s), gate).op(0).apply(v).approx(n)
-        want = _fraction_dual(H, s, gate, v.exact_combo, n)
-        assert got.terms == want.terms
+        want, depth = _fraction_dual(H, s, gate, v.exact_combo, n)
+        assert got.sub(want).norm_squared() <= pow2(-2 * (n + 3))
+        # the output grid is 2^-g, g = n + 3 + bits(isqrt(K') + 1), over
+        # K' coefficients of the convolution, all between the least input
+        # index and the greatest plus depth
+        span = max(terms) - min(terms) + depth + 1
+        g = n + 3 + bits_for(math.isqrt(span) + 1)
+        for _, q in got.terms:
+            den = q.denominator
+            assert den & (den - 1) == 0 and den <= 1 << g
 
 
 class TestRemarkFrameOperator:

@@ -100,6 +100,20 @@ class TestCombos:
         assert a.inner(b) == 0
         assert a.norm_squared() == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(terms=st.dictionaries(
+        st.integers(0, 40),
+        st.one_of(st.fractions(max_denominator=1 << 20),
+                  st.builds(lambda k, e: F(k, 1 << e),
+                            st.integers(-(1 << 70), 1 << 70),
+                            st.integers(0, 90))),
+        max_size=10))
+    def test_norm_squared_equals_the_fraction_sum(self, terms):
+        c = FiniteCombo(SpaceDescriptor(), terms)
+        want = sum((q * q for _, q in c.terms), Fraction(0))
+        got = c.norm_squared()
+        assert type(got) is Fraction and got == want
+
 
 class TestBasisVectors:
     def test_infinite_space(self, H):

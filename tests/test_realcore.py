@@ -210,6 +210,34 @@ class TestAdversarialLeaves:
         want = value([v for v, _ in leaves], q)
         assert within(build(xs, q).approx(n), want, n)
 
+    def test_creal_mul_near_its_magnitude_bound(self):
+        # creal_mul bounds |x~| + |y| by m = ceil|x_0| + ceil|y_0| + 3 and
+        # reads at n + 2 + bits(m).  Operands of 20 to 64 that sum to just
+        # under 61 or 62 put that sum close to 2^bits(m), so reading two
+        # bits short spends the whole budget before the final rounding.
+        for d in (3, 5, 7):
+            for a in range(20 * d, 64 * d + 1):
+                x = F(a, d)
+                for y in (F(61 * d - a, d), F(62 * d - a - 1, d)):
+                    if not 20 <= y <= 64:
+                        continue
+                    for side in (-1, 1):
+                        xs = off_by_one_unit_real(x, side)
+                        ys = off_by_one_unit_real(y, side)
+                        for n in range(4):
+                            assert within(creal_mul(xs, ys).approx(n), x * y, n)
+
+    def test_creal_sum_of_15_leaves_off_on_one_side(self):
+        # 15 leaves read at n + s, s = bits(15) = 4, would err by
+        # (15/16) 2^-n together, and rounding to 2^-(n+2) adds up to
+        # 2^-(n+3) more on the same side
+        for d in (3, 7):
+            for j in range(-14, 15):
+                for side in (-1, 1):
+                    xs = [off_by_one_unit_real(F(j, d), side) for _ in range(15)]
+                    for n in range(8):
+                        assert within(creal_sum(xs).approx(n), 15 * F(j, d), n)
+
 
 class TestDeepChains:
     def test_a_chain_of_300_lazy_sums_evaluates(self):
