@@ -158,11 +158,12 @@ def sum_norm(F: SumName) -> CReal:
     return creal_sqrt(F.normsq)
 
 
-def component_cut(F: SumName, theta: Fraction, p: int, limit: int) -> int:
-    """Certified count with the component tail square <= 2*theta; partial
-    square sums are monotone, so any larger count keeps the bound."""
-    return certified_tail_cut(
-        F.normsq, F.normsq_partial, theta, p, limit, what="sum norm datum")
+def component_cut(F: SumName, theta: Fraction, limit: int) -> int:
+    """Certified count with the component tail square <= 2*theta, the
+    "sum norm datum" cut at a constant allowance; partial square sums
+    are monotone, so any larger count keeps the bound."""
+    return certified_tail_cut(F.normsq, F.normsq_partial, lambda _: theta,
+                              limit, what="sum norm datum")
 
 
 def sum_inner_product(F: SumName, G: SumName) -> CReal:
@@ -175,8 +176,8 @@ def sum_inner_product(F: SumName, G: SumName) -> CReal:
         # per-side tail squares <= 2*theta, so cross tail <= 2*theta <= 2^-(n+2)
         theta = pow2(-(n + 3))
         limit = _term_limit(n)
-        count = max(component_cut(F, theta, n + 6, limit),
-                    component_cut(G, theta, n + 6, limit))
+        count = max(component_cut(F, theta, limit),
+                    component_cut(G, theta, limit))
         finite = creal_sum([inner_product(F.component(i), G.component(i))
                             for i in range(count)])
         return finite.approx(n + 1)

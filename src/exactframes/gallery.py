@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PrecisionExhaustionError
 from .realcore import (
-    Comparison,
     CReal,
     SpeckerData,
     _term_limit,
@@ -31,14 +29,11 @@ from .realcore import (
     ceil_int,
     certified_tail_cut,
     creal_add,
-    creal_compare,
     creal_from_rational,
     creal_scale,
     creal_sqrt,
-    creal_sub,
     dyadic_round,
     pow2,
-    prec_for,
 )
 from .hilbert import FiniteCombo, SpaceDescriptor, VectorName
 from .gframes import (
@@ -147,7 +142,7 @@ def _gated_column(s: SpeckerData, gate: NormOracle, weight: Fraction,
     cut = certified_tail_cut(
         gate.value,
         lambda count: creal_from_rational(s.sum_of_squares(count)),
-        theta, prec_for(theta), _term_limit(n), what="norm gate")
+        lambda count: theta, _term_limit(n), what="norm gate")
     return [(k, t) for k in range(1, cut + 1) if (t := s.term(k - 1))]
 
 
@@ -211,34 +206,25 @@ def _effective_prefix(s: SpeckerData, gate: NormOracle, budget: Fraction,
                       limit: int) -> tuple[int, Fraction]:
     """Certify a cut K against the gate so the neglected term l1 mass is
     at most min(margin/2, budget * margin**2 / 2), margin = 1 - l1 of
-    the kept terms.
+    the kept terms; return K and that l1.  K is the "norm gate"
+    certified_tail_cut of the squared mass, its allowance eps(count)
+    read from the terms kept.
 
     The l1 control comes from the distinct-powers structure of
     SpeckerData: every neglected term is at most the square root of the
     certified residual, and distinct powers of two below that bound sum
     to less than twice it.
     """
-    count = 4
-    while True:
-        if count > limit:
-            raise PrecisionExhaustionError(
-                f"norm gate leaves too much mass unplaced within {limit} terms")
-        sigma = s.sum_of_terms(count)
-        margin = 1 - sigma           # > 0: distinct powers 2^-(j+1) sum below 1
+    def eps(count: int) -> Fraction:
+        margin = 1 - s.sum_of_terms(count)  # > 0: distinct 2^-(j+1) sum below 1
         target_l1 = min(margin / 2, budget * margin * margin / 2)
-        eps = (target_l1 / 3) ** 2   # residual <= 2*eps gives l1 <= 3*sqrt(eps)
-        p = prec_for(eps)
-        residual = creal_sub(gate.value,
-                             creal_from_rational(s.sum_of_squares(count)))
-        verdict = creal_compare(residual, creal_from_rational(eps), p)
-        if verdict is not Comparison.GREATER_CERTAIN:
-            if creal_compare(residual, creal_from_rational(-eps),
-                             p) is Comparison.LESS_CERTAIN:
-                raise PrecisionExhaustionError(
-                    "norm gate understates the term data "
-                    f"(residual provably negative by index {count})")
-            return count, sigma
-        count *= 2
+        return (target_l1 / 3) ** 2  # residual <= 2*eps gives l1 <= 3*sqrt(eps)
+
+    cut = certified_tail_cut(
+        gate.value,
+        lambda count: creal_from_rational(s.sum_of_squares(count)),
+        eps, limit, what="norm gate")
+    return cut, s.sum_of_terms(cut)
 
 
 def _extend_reciprocal(bs: list[int], shifts: list[tuple[int, int]],

@@ -40,7 +40,6 @@ from .realcore import (
     dyadic_round,
     format_rational,
     pow2,
-    prec_for,
 )
 
 _space_counter = itertools.count(1)
@@ -398,7 +397,7 @@ def _bessel_sum(space: SpaceDescriptor, term: Callable[[int], VectorName],
 
     def fn(n: int) -> FiniteCombo:
         theta = pow2(-(2 * n + 4)) / (2 * b_up)
-        count = certified_tail_cut(total, partial_at, theta, prec_for(theta),
+        count = certified_tail_cut(total, partial_at, lambda _: theta,
                                    _term_limit(n), what=what)
         pad = count.bit_length() + 1
         return _combo_sum(space, ((1, term(i).approx(n + 1 + pad))

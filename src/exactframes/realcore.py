@@ -28,7 +28,7 @@ from .errors import (
     PrecisionExhaustionError,
 )
 
-_RATIONAL_PATTERN = re.compile(r"^-?[0-9]+(?:/[1-9][0-9]*)?$")
+_RATIONAL_PATTERN = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -36,10 +36,13 @@ def parse_rational(text: str) -> Fraction:
 
     Anything else, including decimal floats, is rejected: a float that
     slipped in here would silently break every certification downstream.
+    The whole text must match, so a trailing newline is rejected too.
     """
-    if not _RATIONAL_PATTERN.match(text):
+    m = _RATIONAL_PATTERN.fullmatch(text)
+    if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    num, den = m.groups()
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def format_rational(q: Fraction) -> str:
@@ -67,13 +70,12 @@ def dyadic_round(q: Fraction, n: int) -> Fraction:
 
 
 def ceil_int(q: Fraction) -> int:
-    q = Fraction(q)
+    """Smallest integer >= q, for a Fraction or an int."""
     return -((-q.numerator) // q.denominator)
 
 
 def bits_for(q: Fraction) -> int:
-    """Smallest s >= 0 with 2**s >= q."""
-    q = Fraction(q)
+    """Smallest s >= 0 with 2**s >= q, for a Fraction or an int."""
     if q <= 1:
         return 0
     return (ceil_int(q) - 1).bit_length()
@@ -83,7 +85,7 @@ def prec_for(threshold: Fraction) -> int:
     """Smallest p >= 0 with 2**-p <= threshold (threshold > 0)."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    return bits_for(1 / Fraction(threshold))
+    return bits_for(Fraction(threshold.denominator, threshold.numerator))
 
 
 class CReal:
@@ -313,37 +315,30 @@ class PrefixSums:
     """Memoised partial sums of one sequence of CReals.
 
     upto(count, term) is creal_sum of term(0), ..., term(count - 1), one
-    shared name per count.  Each term is computed once and kept, so a
-    longer sum reuses the terms of a shorter one.  While every term so
+    shared name per count.  Terms and sums each live in a _Memo, so each
+    term is built once, a longer sum reuses the terms of a shorter one,
+    and racing threads get the first value stored.  While every term so
     far is exact the sum is an exact rational, as creal_sum makes it.
 
     The term function is passed on every call rather than stored, so an
     owner can pass its own bound method without making a reference
-    cycle; every call must pass the same sequence.  Terms are computed
-    with no lock held, so a term may read earlier partial sums of the
-    same sequence; when two threads race, the first stored value wins.
+    cycle; every call must pass the same sequence.  Terms are built in
+    index order with no lock held, so a term may read earlier partial
+    sums of the same sequence.
     """
 
-    __slots__ = ("_terms", "_sums", "_lock")
+    __slots__ = ("_terms", "_sums")
 
     def __init__(self):
-        self._terms: list[CReal] = []
-        self._sums: dict[int, CReal] = {}
-        self._lock = threading.Lock()
+        self._terms = _Memo()
+        self._sums = _Memo()
 
     def upto(self, count: int, term: Callable[[int], CReal]) -> CReal:
-        terms = self._terms
-        while len(terms) < count:
-            i = len(terms)
-            fresh = term(i)
-            with self._lock:
-                if len(terms) == i:
-                    terms.append(fresh)
         got = self._sums.get(count)
         if got is None:
-            fresh_sum = creal_sum(terms[:count])
-            with self._lock:
-                got = self._sums.setdefault(count, fresh_sum)
+            terms = self._terms
+            got = self._sums.store(count, creal_sum(
+                [terms.lookup(i, term, i) for i in range(count)]))
         return got
 
 
@@ -404,29 +399,32 @@ def _term_limit(n: int) -> int:
 
 
 def certified_tail_cut(total: CReal, partial_at: Callable[[int], CReal],
-                       theta: Fraction, p: int, limit: int,
+                       theta: Callable[[int], Fraction], limit: int,
                        what: str = "tail certificate") -> int:
-    """Smallest doubling count at which total minus the partial is
-    certified <= 2*theta (comparison at precision p; a tie verdict
-    counts, its slack being at most 2**-p <= theta by the caller's
-    choice of p).
+    """Smallest doubling count (4, 8, ...) at which total minus the
+    partial is certified <= 2*theta(count): the library's one doubling
+    walk with a two-sided certificate.  Each count compares at p =
+    prec_for(theta(count)); a tie verdict counts, its slack being at
+    most 2**-p <= theta(count).
 
     The certificate is two-sided: a difference that is provably below
-    -theta means the claimed total understates the data, and the search
-    raises PrecisionExhaustionError instead of ever returning a cut that
-    would silence real mass.  A count past `limit` is never tried: the
-    search raises instead.
+    -theta(count) means the claimed total understates the data, and the
+    search raises PrecisionExhaustionError instead of ever returning a
+    cut that would silence real mass.  A count past `limit` is never
+    tried: the search raises instead.  Both messages start with what.
     """
-    pos = creal_from_rational(theta)
-    neg = creal_from_rational(-theta)
     count = 4
     while True:
         if count > limit:
             raise PrecisionExhaustionError(
                 f"{what}: not certified within {limit} terms")
+        allowance = theta(count)
+        p = prec_for(allowance)
         t = creal_sub(total, partial_at(count))
-        if creal_compare(t, pos, p) is not Comparison.GREATER_CERTAIN:
-            if creal_compare(t, neg, p) is Comparison.LESS_CERTAIN:
+        if creal_compare(t, creal_from_rational(allowance),
+                         p) is not Comparison.GREATER_CERTAIN:
+            if creal_compare(t, creal_from_rational(-allowance),
+                             p) is Comparison.LESS_CERTAIN:
                 raise PrecisionExhaustionError(
                     f"{what}: claimed total understates the data "
                     f"(certificate provably negative by index {count})")

@@ -31,7 +31,16 @@ from exactframes import (
 )
 from exactframes.gallery import _effective_prefix
 from exactframes.suites import _forward_substitution_inverse
-from exactframes.realcore import _term_limit, bits_for, pow2
+from exactframes.realcore import (
+    Comparison,
+    _term_limit,
+    bits_for,
+    creal_compare,
+    creal_from_rational,
+    creal_sub,
+    pow2,
+    prec_for,
+)
 
 from conftest import combo, vec
 
@@ -236,9 +245,73 @@ def test_effective_prefix_reads_no_term_past_the_limit():
 
     overstated = NormOracle.exact(F(1))      # every term is zero
     with pytest.raises(PrecisionExhaustionError,
-                       match="^norm gate leaves too much mass unplaced within 64 terms$"):
+                       match="^norm gate: not certified within 64 terms$"):
         _effective_prefix(SpeckerData(enum), overstated, F(1, 16), 64)
     assert max(asked) == 63
+
+
+def _allowance(s, budget, count):
+    margin = 1 - s.sum_of_terms(count)
+    target_l1 = min(margin / 2, budget * margin * margin / 2)
+    return (target_l1 / 3) ** 2
+
+
+def _walked_prefix(s, gate, budget, limit):
+    """The gated dual's cut as a doubling walk of its own, as it stood
+    before it became a certified_tail_cut: the reference that
+    _effective_prefix must match count for count."""
+    count = 4
+    while True:
+        if count > limit:
+            raise PrecisionExhaustionError("past the limit")
+        sigma = s.sum_of_terms(count)
+        eps = _allowance(s, budget, count)
+        p = prec_for(eps)
+        residual = creal_sub(gate.value,
+                             creal_from_rational(s.sum_of_squares(count)))
+        verdict = creal_compare(residual, creal_from_rational(eps), p)
+        if verdict is not Comparison.GREATER_CERTAIN:
+            if creal_compare(residual, creal_from_rational(-eps),
+                             p) is Comparison.LESS_CERTAIN:
+                raise PrecisionExhaustionError("understated")
+            return count, sigma
+        count *= 2
+
+
+def _cut_or_exhausted(prefix, *args):
+    try:
+        return prefix(*args)
+    except PrecisionExhaustionError:
+        return PrecisionExhaustionError
+
+
+# a gap of 2^-k, or a multiple of the allowance once every term is kept,
+# where the verdicts turn
+_gaps = st.one_of(st.integers(1, 200).map(lambda k: ("power", k)),
+                  st.fractions(F(1, 4), 4, max_denominator=8).map(
+                      lambda r: ("allowance", r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponents=st.lists(st.integers(0, 12), min_size=1, max_size=6,
+                          unique=True),
+       claim=st.sampled_from([0, -1, 1]), gap=_gaps, b=st.integers(4, 40),
+       limit=st.sampled_from([64, _term_limit(8)]))
+def test_effective_prefix_matches_the_walk_it_replaced(exponents, claim, gap,
+                                                        b, limit):
+    s = SpeckerData.from_prefix(exponents)
+    budget = pow2(-b)
+    kind, x = gap
+    size = pow2(-x) if kind == "power" else x * _allowance(s, budget, 8)
+    if claim > 0 and limit > 64:
+        # an overstatement that never closes walks to the limit, too far
+        # for a test past 64 terms; every budget closes one of 2^-111,
+        # since margin >= 1/64 makes eps >= (2^-53 / 3)^2 > 2^-110
+        size = min(size, pow2(-111))
+    gate = NormOracle.exact(s.sum_of_squares(len(exponents)) + claim * size)
+    args = (s, gate, budget, limit)
+    assert (_cut_or_exhausted(_effective_prefix, *args)
+            == _cut_or_exhausted(_walked_prefix, *args))
 
 
 def _fraction_forward_substitution(rows):

@@ -647,11 +647,31 @@ def _understated_input_norm(H):
     return synthesis(G, norms).apply(F0)
 
 
+def _understated_gate(face):
+    """face(H, s, gate) applied to e0, for terms 1/4 and 1/16 (squared
+    mass 17/256) under a gate claimed as 1/256."""
+    def build(H):
+        s = SpeckerData.from_prefix([1, 3])
+        op = face(H, s, NormOracle.exact(F(1, 256)))
+        return op.apply(basis_vector(H, 0))
+    return build
+
+
 @pytest.mark.parametrize("what, build", [
     ("coordinate square sum", _understated_coordinates),
     ("row coefficient oracle", _understated_row_coefficients),
     ("input norm datum", _understated_input_norm),
-], ids=["coordinate-square-sum", "row-coefficient-oracle", "input-norm-datum"])
+    ("norm gate", _understated_gate(
+        lambda H, s, gate: gated_adjoint(H, ToeplitzUpperU(s), gate))),
+    ("norm gate", _understated_gate(
+        lambda H, s, gate: gated_adjoint(H, ColumnLowerU(s), gate))),
+    ("norm gate", _understated_gate(
+        lambda H, s, gate: remark_frame_operator(H, ColumnLowerU(s), gate))),
+    ("norm gate", _understated_gate(
+        lambda H, s, gate: gated_dual_tau(H, ToeplitzUpperU(s), gate).op(0))),
+], ids=["coordinate-square-sum", "row-coefficient-oracle", "input-norm-datum",
+        "norm-gate-gated-adjoint-upper", "norm-gate-gated-adjoint-column",
+        "norm-gate-remark-frame-operator", "norm-gate-gated-dual-tau"])
 def test_understated_claim_names_its_datum(H, what, build):
     with pytest.raises(PrecisionExhaustionError,
                        match=f"^{what}: claimed total understates the data"):

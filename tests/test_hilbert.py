@@ -3,7 +3,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactframes import (
     CReal,
@@ -306,6 +306,21 @@ class TestAdversarialLeaves:
         got = inner_product(off_by_one_unit(cx, kx, sx),
                             off_by_one_unit(cy, ky, sy)).approx(n)
         assert abs(got - cx.inner(cy)) <= pow2(-n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vx=st.fractions(-40, 40, max_denominator=8),
+           vy=st.fractions(-40, 40, max_denominator=8),
+           side=st.sampled_from([-1, 1]), n=st.integers(0, 5))
+    @example(vx=F(7, 4), vy=F(103, 4), side=-1, n=0)
+    def test_inner_product_of_large_leaves_off_on_one_side(self, vx, vy,
+                                                           side, n):
+        # inner_product reads at m = n + 1 + bits(bx + by + 1); leaves up
+        # to 40 that both err on one side spend nearly all of it, so one
+        # bit less errs past 2^-n (by 1.0625 at the example)
+        H = SpaceDescriptor()
+        x = off_by_one_unit(combo(H, {0: vx}), 0, side)
+        y = off_by_one_unit(combo(H, {0: vy}), 0, side)
+        assert abs(inner_product(x, y).approx(n) - vx * vy) <= pow2(-n)
 
 
 class TestInnerProduct:

@@ -82,3 +82,39 @@ def test_every_private_name_is_used():
     dead = [name for source in sources for name in private_definitions(source)
             if name not in used]
     assert dead == []
+
+
+def raising_functions(source: str, error: str) -> list[str]:
+    """The module-level function around each `raise <error>(...)` or
+    `raise <error>`, or "<module>" for a raise outside any function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == error:
+                    found.append(owner)
+            top = owner == "<module>" and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if top else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_raising_functions_are_found():
+    source = ("class E(Exception):\n    pass\n"
+              "def f():\n    def g():\n        raise E('x')\n    raise E\n"
+              "raise E()\n")
+    assert raising_functions(source, "E") == ["f", "f", "<module>"]
+
+
+def test_only_the_tail_cut_raises_precision_exhaustion():
+    # every understated datum fails through the one two-sided walk, so it
+    # fails with the one message form "<what>: claimed total understates
+    # the data"
+    raises = [(path.stem, owner) for path in PACKAGE.glob("*.py")
+              for owner in raising_functions(path.read_text(),
+                                             "PrecisionExhaustionError")]
+    assert raises and set(raises) == {("realcore", "certified_tail_cut")}

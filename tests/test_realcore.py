@@ -60,6 +60,18 @@ class TestRationalWire:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.from_regex(r"-?[0-9]+(/[1-9][0-9]*)?", fullmatch=True))
+    def test_equals_fraction_on_the_grammar(self, text):
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == Fraction(text)
+
+    @pytest.mark.parametrize("bad", ["1.5", "+1", "1/0", "\u0663", "1_0",
+                                     " 1", "3\n"])
+    def test_rejects_what_fraction_would_take(self, bad):
+        with pytest.raises(ValueError, match="^not a rational literal"):
+            parse_rational(bad)
+
     def test_format_roundtrip(self):
         for q in (F(7, 2), F(-3), F(0), F(-11, 13)):
             assert parse_rational(format_rational(q)) == q
@@ -359,18 +371,18 @@ class TestCertifiedTailCut:
         total = creal_from_rational(F(1, 2))
         partial = lambda count: creal_from_rational(F(1))
         with pytest.raises(PrecisionExhaustionError):
-            certified_tail_cut(total, partial, pow2(-20), 22, 1 << 10)
+            certified_tail_cut(total, partial, lambda _: pow2(-20), 1 << 10)
 
     def test_budget_overrun_detected(self):
         total = creal_from_rational(F(2))
         partial = lambda count: creal_from_rational(F(1))
         with pytest.raises(PrecisionExhaustionError):
-            certified_tail_cut(total, partial, pow2(-20), 22, 16)
+            certified_tail_cut(total, partial, lambda _: pow2(-20), 16)
 
     def test_converging_partials_accepted(self):
         total = creal_from_rational(F(1))
         partial = lambda count: creal_from_rational(1 - pow2(-count))
-        cut = certified_tail_cut(total, partial, pow2(-10), 12, 1 << 20)
+        cut = certified_tail_cut(total, partial, lambda _: pow2(-10), 1 << 20)
         assert pow2(-cut) <= 2 * pow2(-10)
 
     def test_no_partial_past_the_limit(self):
@@ -383,8 +395,25 @@ class TestCertifiedTailCut:
         with pytest.raises(PrecisionExhaustionError,
                            match="^tail certificate: not certified within 64 terms$"):
             certified_tail_cut(creal_from_rational(F(2)), partial,
-                               pow2(-20), 22, 64)
+                               lambda _: pow2(-20), 64)
         assert asked == [4, 8, 16, 32, 64]
+
+    def test_allowance_read_per_count(self):
+        # a tail of 2^-count against the shrinking allowance
+        # 2^-(count/2 + 5): held at its value for count 4 the walk would
+        # stop at 8, read per count it goes on to 16
+        total = creal_from_rational(F(1))
+        partial = lambda count: creal_from_rational(1 - pow2(-count))
+        read = []
+
+        def theta(count):
+            read.append(count)
+            return pow2(-(count // 2 + 5))
+
+        assert certified_tail_cut(total, partial, theta, 1 << 20) == 16
+        assert read == [4, 8, 16]
+        assert certified_tail_cut(total, partial, lambda _: pow2(-7),
+                                  1 << 20) == 8
 
 
 def _never_evaluated(n):
