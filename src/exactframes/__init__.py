@@ -35,7 +35,6 @@ from .realcore import (
     format_rational,
     pairing,
     parse_rational,
-    specker_partial_sums,
     unpairing,
 )
 from .hilbert import (
@@ -60,7 +59,6 @@ from .directsum import (
     fourier_to_sum,
     sum_embed,
     sum_inner_product,
-    sum_norm,
     sum_to_fourier,
 )
 from .gframes import (
@@ -77,12 +75,10 @@ from .gframes import (
     canonical_dual_pair,
     corresponding_frame,
     diagonal_gframe,
-    diagonal_operator,
     dual_from_left_inverse,
     frame_operator,
     gframe_from_corresponding,
     gframe_to_frame,
-    identity_operator,
     invert_frame_operator,
     kernel_dual_pair,
     kernel_from_dual,
@@ -97,14 +93,10 @@ from .gframes import (
     zero_operator,
 )
 from .gallery import (
-    ColumnLowerU,
-    NormOracle,
-    ToeplitzLowerU,
-    ToeplitzUpperU,
     column_lower_adjoint,
+    column_lower_operator,
     gated_adjoint,
     gated_dual_tau,
-    lower_u_synthesis,
     remark_frame_operator,
     toeplitz_upper_gframe,
     upper_u_operator,

@@ -49,9 +49,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     InvariantViolationError,
@@ -60,6 +59,7 @@ from .errors import (
     SpecResolveError,
 )
 from .realcore import (
+    CReal,
     SpeckerData,
     creal_from_rational,
     format_rational,
@@ -80,18 +80,7 @@ from .gframes import (
     frame_operator,
     reconstruct,
 )
-from .gallery import (
-    ColumnLowerU,
-    NormOracle,
-    ToeplitzLowerU,
-    ToeplitzUpperU,
-    column_lower_adjoint,
-    gated_adjoint,
-    gated_dual_tau,
-    lower_u_synthesis,
-    remark_frame_operator,
-    upper_u_operator,
-)
+from . import gallery
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -101,21 +90,30 @@ EXIT_INVARIANT = 5
 
 DEFAULT_MAX_PRECISION = 64
 
-_GALLERY_KINDS = ("upper-toeplitz", "column-lower", "lower-toeplitz")
+# gallery kind -> (ungated face, gated face), named in the gallery module
+# and read from it when a task runs, so a rebinding of the module's
+# functions reaches every task
+_GALLERY_FACES = {
+    "upper-toeplitz": ("upper_u_operator", "gated_adjoint"),
+    "column-lower": ("column_lower_adjoint", "column_lower_operator"),
+    "lower-toeplitz": ("upper_u_operator", "gated_adjoint"),
+}
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     op: str
     args: tuple[str, ...]
     precision: int
 
 
-@dataclass
 class SpecDocument:
-    version: str
-    declarations: list[tuple[str, list[str]]] = field(default_factory=list)
-    tasks: list[Task] = field(default_factory=list)
+    """A parsed document: its version, then its declarations and its
+    tasks in document order."""
+
+    def __init__(self, version: str) -> None:
+        self.version = version
+        self.declarations: list[tuple[str, list[str]]] = []
+        self.tasks: list[Task] = []
 
 
 def _rat(token: str) -> Fraction:
@@ -169,7 +167,7 @@ def load_document(text: str, max_precision: int = DEFAULT_MAX_PRECISION
             if head != "version" or len(rest) != 1:
                 raise SpecParseError(
                     f"line {lineno}: the first directive must be 'version <v>'")
-            doc = SpecDocument(version=rest[0])
+            doc = SpecDocument(rest[0])
             continue
         if head == "task":
             if len(rest) < 3 or rest[-2] != "precision":
@@ -281,13 +279,13 @@ def _declare_gframe(reg: Registry, rest: list[str]) -> None:
     name, space_name, kind, *args = rest
     space = reg.space(space_name)
     if kind == "parseval":
-        reg.gframes[name] = diagonal_gframe(space)[:3]
+        reg.gframes[name] = diagonal_gframe(space)
     elif kind == "block":
         if len(args) != 1:
             raise SpecParseError("block needs: <width>")
         reg.gframes[name] = block_gframe(space, _nat(args[0], "block width"))
     elif kind == "diagonal":
-        reg.gframes[name] = diagonal_gframe(space, _combo_tokens(args))[:3]
+        reg.gframes[name] = diagonal_gframe(space, _combo_tokens(args))
     elif kind == "atoms":
         if len(args) < 3:
             raise SpecParseError("atoms needs: <A> <B> <tail-offset> | ...")
@@ -311,7 +309,7 @@ def _declare_gframe(reg: Registry, rest: list[str]) -> None:
         if not atoms_part:
             raise SpecParseError("atoms needs at least one '|' atom")
         reg.gframes[name] = atoms_gframe(space, prefix, tail_offset,
-                                         lower, upper)[:3]
+                                         lower, upper)
     else:
         raise SpecParseError(f"unknown gframe kind {kind!r}")
 
@@ -321,7 +319,7 @@ def _declare_gallery(reg: Registry, rest: list[str]) -> None:
         raise SpecParseError(
             "gallery needs: <name> <kind> <space> enum <list>|empty [gate <rat>]")
     name, kind, space_name = rest[0], rest[1], rest[2]
-    if kind not in _GALLERY_KINDS:
+    if kind not in _GALLERY_FACES:
         raise SpecParseError(f"unknown gallery kind {kind!r}")
     space = reg.space(space_name)
     if space.dimension is not None:
@@ -334,21 +332,16 @@ def _declare_gallery(reg: Registry, rest: list[str]) -> None:
         values: list[int] = []
     else:
         values = [_nat(v, "enumerator value") for v in enum_tok.split(",")]
-    gate: Optional[NormOracle] = None
+    gate: Optional[CReal] = None
     if args:
         if args[0] != "gate" or len(args) != 2:
             raise SpecParseError("trailing gallery arguments must be 'gate <rat>'")
-        gate = NormOracle.exact(_rat(args[1]))
+        gate = creal_from_rational(_rat(args[1]))
     try:
         specker = SpeckerData.from_prefix(values)
     except InvariantViolationError as exc:
         raise SpecParseError(f"gallery {name!r}: {exc}") from None
-    construction = {
-        "upper-toeplitz": ToeplitzUpperU,
-        "column-lower": ColumnLowerU,
-        "lower-toeplitz": ToeplitzLowerU,
-    }[kind](specker)
-    reg.gallery[name] = (kind, construction, gate, space)
+    reg.gallery[name] = (kind, specker, gate, space)
 
 
 def build_registry(doc: SpecDocument) -> Registry:
@@ -384,8 +377,8 @@ def _need_args(task: Task, count: int) -> None:
             f"got {len(task.args)}")
 
 
-def _gallery_gate(entry) -> NormOracle:
-    kind, construction, gate, space = entry
+def _gallery_gate(entry) -> CReal:
+    kind, specker, gate, space = entry
     if gate is None:
         raise SpecResolveError(
             f"gated operation on a {kind} construction declared without a gate")
@@ -415,25 +408,20 @@ def execute_task(reg: Registry, task: Task, precision: int) -> list[str]:
     if op in ("apply", "gated-apply", "dual-apply"):
         _need_args(task, 2)
         entry = reg._get(reg.gallery, task.args[0], "gallery construction")
-        kind, construction, gate, space = entry
+        kind, specker, gate, space = entry
         v = reg.vector(task.args[1])
+        ungated, gated = _GALLERY_FACES[kind]
         if op == "apply":
-            operator = {
-                "upper-toeplitz": lambda: upper_u_operator(
-                    space, construction.specker),
-                "column-lower": lambda: column_lower_adjoint(
-                    space, construction),
-                "lower-toeplitz": lambda: lower_u_synthesis(
-                    space, construction),
-            }[kind]()
+            operator = getattr(gallery, ungated)(space, specker)
         elif op == "gated-apply":
-            operator = gated_adjoint(space, construction, _gallery_gate(entry))
+            operator = getattr(gallery, gated)(space, specker,
+                                               _gallery_gate(entry))
         else:
             if kind != "upper-toeplitz":
                 raise SpecResolveError(
                     "dual-apply needs an upper-toeplitz construction")
-            operator = gated_dual_tau(space, construction,
-                                      _gallery_gate(entry)).op(0)
+            operator = gallery.gated_dual_tau(space, specker,
+                                              _gallery_gate(entry)).op(0)
         combo = operator.apply(v).approx(precision)
         return _value_lines(combo)
     if op == "frame-op":
@@ -445,12 +433,12 @@ def execute_task(reg: Registry, task: Task, precision: int) -> list[str]:
             out = frame_operator(G, norms, ao).apply(v)
         else:
             entry = reg._get(reg.gallery, name, "g-frame or gallery construction")
-            kind, construction, gate, space = entry
+            kind, specker, gate, space = entry
             if kind != "column-lower":
                 raise SpecResolveError(
                     "frame-op on a gallery object needs a column-lower construction")
-            out = remark_frame_operator(space, construction,
-                                        _gallery_gate(entry)).apply(v)
+            out = gallery.remark_frame_operator(space, specker,
+                                                _gallery_gate(entry)).apply(v)
         return _value_lines(out.approx(precision))
     if op == "reconstruct":
         _need_args(task, 2)

@@ -28,7 +28,6 @@ from .realcore import (
     certified_tail_cut,
     creal_from_rational,
     creal_mul,
-    creal_sqrt,
     creal_sum,
     pow2,
     unpairing,
@@ -152,10 +151,6 @@ def sum_embed(space: SumSpace, i: int, f: VectorName) -> SumName:
         return f if k == i else VectorName.zero(space.component(k))
 
     return SumName(space, fn, inner_product(f, f))
-
-
-def sum_norm(F: SumName) -> CReal:
-    return creal_sqrt(F.normsq)
 
 
 def component_cut(F: SumName, theta: Fraction, limit: int) -> int:

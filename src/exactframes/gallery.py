@@ -5,9 +5,12 @@ SpeckerData terms a_1, a_2, ... (a_k = term(k-1)).  Each has a direction
 that is computable outright (finite matrix action on finite rational
 combinations) and a direction whose columns carry the whole term
 sequence at once, which is constructible exactly when the squared l2
-mass of the terms is supplied as an explicit NormOracle gate.  All gated
-assemblies certify their truncations against the gate: an understated
-gate yields PrecisionExhaustionError, never a wrong vector.
+mass of the terms, sum of a_k**2, is supplied as an explicit gate: a
+CReal that the caller claims, since the terms alone do not determine
+it.  Every function takes the terms as SpeckerData s and, where needed,
+that gate.  All gated assemblies certify their truncations against the
+gate: an understated gate yields PrecisionExhaustionError, never a wrong
+vector.
 
 Finitely truncated term data (SpeckerData.from_prefix) with an exact
 rational gate turns every construction here into an exact
@@ -18,7 +21,6 @@ them against direct linear algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .realcore import (
@@ -48,50 +50,19 @@ _ZERO = creal_from_rational(0)
 _ONE = creal_from_rational(1)
 
 
-@dataclass(frozen=True)
-class NormOracle:
-    """Externally supplied value of the squared l2 mass of the terms.
-
-    This is the datum the constructions below cannot compute for
-    themselves; a correct value unlocks them, an understated one makes
-    their certificates fail loudly.
-    """
-    value: CReal
-
-    @classmethod
-    def exact(cls, q: Fraction) -> "NormOracle":
-        return cls(creal_from_rational(q))
-
-
-@dataclass(frozen=True)
-class ToeplitzUpperU:
-    """Upper-triangular Toeplitz action: row i is (0...0, 1, a_1, a_2, ...)."""
-    specker: SpeckerData
-
-
-@dataclass(frozen=True)
-class ColumnLowerU:
-    """Identity plus a single loaded column: column 0 is (1, a_1, a_2, ...)."""
-    specker: SpeckerData
-
-
-@dataclass(frozen=True)
-class ToeplitzLowerU:
-    """Lower-triangular Toeplitz action: column j is the shifted
-    (1, a_1, a_2, ...)."""
-    specker: SpeckerData
-
-
 def _require_infinite(space: SpaceDescriptor) -> None:
     if space.dimension is not None:
         raise ValueError("gallery constructions act on an infinite space")
 
 
 def upper_u_operator(space: SpaceDescriptor, s: SpeckerData) -> OperatorName:
-    """The upper-Toeplitz operator itself, computable with no gate:
-    (Uf)_i = f_i + sum over k >= 1 of a_k f_(i+k), exact on finite
-    combinations, since only finitely many terms meet the support; the
-    operator norm is at most 1 + l1(a) <= 2."""
+    """The upper-Toeplitz operator U itself, computable with no gate:
+    row i is (0...0, 1, a_1, a_2, ...), so (Uf)_i = f_i + sum over
+    k >= 1 of a_k f_(i+k), exact on finite combinations, since only
+    finitely many terms meet the support; the operator norm is at most
+    1 + l1(a) <= 2.  It is also the synthesis-side face of the
+    lower-Toeplitz construction, whose columns are the shifted
+    (1, a_1, a_2, ...)."""
     _require_infinite(space)
 
     def image(c: FiniteCombo) -> VectorName:
@@ -106,17 +77,11 @@ def upper_u_operator(space: SpaceDescriptor, s: SpeckerData) -> OperatorName:
     return bounded_operator(space, space, Fraction(3), image)
 
 
-def lower_u_synthesis(space: SpaceDescriptor, t: ToeplitzLowerU) -> OperatorName:
-    """The synthesis-side action of the lower-Toeplitz construction: the
-    upper-triangular transpose action, computable with no gate."""
-    return upper_u_operator(space, t.specker)
-
-
-def column_lower_adjoint(space: SpaceDescriptor, u: ColumnLowerU) -> OperatorName:
-    """The adjoint of the loaded-column operator: row 0 gathers the
-    terms, every other row is the identity; exact on finite combinations."""
+def column_lower_adjoint(space: SpaceDescriptor, s: SpeckerData) -> OperatorName:
+    """C*, the adjoint of the loaded-column operator C: row 0 gathers
+    the terms, every other row is the identity; exact on finite
+    combinations, so it needs no gate."""
     _require_infinite(space)
-    s = u.specker
 
     def image(c: FiniteCombo) -> VectorName:
         out = {k: q for k, q in c.terms}
@@ -133,21 +98,27 @@ def column_lower_adjoint(space: SpaceDescriptor, u: ColumnLowerU) -> OperatorNam
     return bounded_operator(space, space, Fraction(3), image)
 
 
-def _gated_column(s: SpeckerData, gate: NormOracle, weight: Fraction,
+def _gated_column(s: SpeckerData, gate: CReal, weight: Fraction,
                   err: Fraction, n: int) -> list[tuple[int, Fraction]]:
     """The nonzero (k, a_k) for 1 <= k <= K, with K certified against the
     gate so that weight times the l2 mass of the neglected terms is at
     most sqrt(2) * err; understated gates fail here."""
     theta = (err / weight) ** 2
     cut = certified_tail_cut(
-        gate.value,
+        gate,
         lambda count: creal_from_rational(s.sum_of_squares(count)),
         lambda count: theta, _term_limit(n), what="norm gate")
     return [(k, t) for k in range(1, cut + 1) if (t := s.term(k - 1))]
 
 
-def _gated_lower_toeplitz(space: SpaceDescriptor, s: SpeckerData,
-                          gate: NormOracle) -> OperatorName:
+def gated_adjoint(space: SpaceDescriptor, s: SpeckerData,
+                  gate: CReal) -> OperatorName:
+    """U*, the gated adjoint of upper_u_operator: the lower-Toeplitz
+    action whose column j is the shifted (1, a_1, a_2, ...).  Each column
+    carries every term, so it is truncated against the gate, the claimed
+    squared l2 mass of the terms; an understated gate fails."""
+    _require_infinite(space)
+
     def image(c: FiniteCombo) -> VectorName:
         def fn(n: int) -> FiniteCombo:
             if not c.terms:
@@ -167,8 +138,14 @@ def _gated_lower_toeplitz(space: SpaceDescriptor, s: SpeckerData,
     return bounded_operator(space, space, Fraction(3), image)
 
 
-def _gated_loaded_column(space: SpaceDescriptor, s: SpeckerData,
-                         gate: NormOracle) -> OperatorName:
+def column_lower_operator(space: SpaceDescriptor, s: SpeckerData,
+                          gate: CReal) -> OperatorName:
+    """C, the gated adjoint of column_lower_adjoint: the identity plus a
+    loaded column 0 = (1, a_1, a_2, ...).  That column is truncated
+    against the gate, the claimed squared l2 mass of the terms; an
+    understated gate fails."""
+    _require_infinite(space)
+
     def image(c: FiniteCombo) -> VectorName:
         def fn(n: int) -> FiniteCombo:
             out = {k: q for k, q in c.terms}
@@ -183,26 +160,7 @@ def _gated_loaded_column(space: SpaceDescriptor, s: SpeckerData,
     return bounded_operator(space, space, Fraction(3), image)
 
 
-def gated_adjoint(space: SpaceDescriptor,
-                  construction, gate: NormOracle) -> OperatorName:
-    """The gate-requiring direction of a construction: the adjoint of its
-    computable face.
-
-    For the upper-Toeplitz operator that is its adjoint (lower-Toeplitz
-    columns); for the loaded-column operator it is the operator itself
-    (the adjoint of its computable adjoint); for the lower-Toeplitz
-    construction it is again the lower-Toeplitz action.  Every produced
-    column is truncated against the gate.
-    """
-    _require_infinite(space)
-    if isinstance(construction, ColumnLowerU):
-        return _gated_loaded_column(space, construction.specker, gate)
-    if isinstance(construction, (ToeplitzUpperU, ToeplitzLowerU)):
-        return _gated_lower_toeplitz(space, construction.specker, gate)
-    raise TypeError(f"unsupported gallery construction: {construction!r}")
-
-
-def _effective_prefix(s: SpeckerData, gate: NormOracle, budget: Fraction,
+def _effective_prefix(s: SpeckerData, gate: CReal, budget: Fraction,
                       limit: int) -> tuple[int, Fraction]:
     """Certify a cut K against the gate so the neglected term l1 mass is
     at most min(margin/2, budget * margin**2 / 2), margin = 1 - l1 of
@@ -221,7 +179,7 @@ def _effective_prefix(s: SpeckerData, gate: NormOracle, budget: Fraction,
         return (target_l1 / 3) ** 2  # residual <= 2*eps gives l1 <= 3*sqrt(eps)
 
     cut = certified_tail_cut(
-        gate.value,
+        gate,
         lambda count: creal_from_rational(s.sum_of_squares(count)),
         eps, limit, what="norm gate")
     return cut, s.sum_of_terms(cut)
@@ -250,8 +208,8 @@ def _extend_reciprocal(bs: list[int], shifts: list[tuple[int, int]],
         bs.append(-acc)
 
 
-def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
-                   gate: NormOracle) -> GFrameName:
+def gated_dual_tau(space: SpaceDescriptor, s: SpeckerData,
+                   gate: CReal) -> GFrameName:
     """The dual g-frame of the single-operator upper-Toeplitz g-frame:
     the inverse of its synthesis-side lower-Toeplitz action.
 
@@ -261,7 +219,8 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
     part (-a_m).  The gate enters twice: it certifies an effective
     truncation of the terms (perturbation control through the l1 margin)
     and the certified margin drives the geometric envelope that
-    truncates the b sequence.  An understated gate fails at construction.
+    truncates the b sequence.  The gate is the claimed squared l2 mass
+    of the terms; an understated gate fails at construction.
 
     The budget of approx(n) on an input c of l1 norm l1:
     - the cut of the terms and the tail of the b sequence past depth
@@ -279,7 +238,6 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
     two no larger than 2**g.
     """
     _require_infinite(space)
-    s = t.specker
     # construction probe: fixes a sound operator bound, rejects bad gates
     _, sigma0 = _effective_prefix(s, gate, Fraction(1, 1 << 12),
                                   _term_limit(8))
@@ -349,19 +307,20 @@ def gated_dual_tau(space: SpaceDescriptor, t: ToeplitzUpperU,
     return GFrameName(space, ops, Fraction(1, 4), tau_bound * tau_bound)
 
 
-def toeplitz_upper_gframe(space: SpaceDescriptor, t: ToeplitzUpperU,
-                          gate: NormOracle, lower: Fraction,
+def toeplitz_upper_gframe(space: SpaceDescriptor, s: SpeckerData,
+                          gate: CReal, lower: Fraction,
                           upper: Fraction) -> tuple[GFrameName, NormsOracle]:
     """The single-operator g-frame of the upper-Toeplitz action together
-    with its column-norm oracle sqrt(1 + gate) (every adjoint column is
-    a shift of (1, a_1, a_2, ...))."""
-    U = upper_u_operator(space, t.specker)
+    with its column-norm oracle sqrt(1 + gate), the gate being the
+    claimed squared l2 mass of the terms (every adjoint column is a
+    shift of (1, a_1, a_2, ...))."""
+    U = upper_u_operator(space, s)
 
     def ops(i: int) -> OperatorName:
         return U if i == 0 else zero_operator(space, space)
 
     G = GFrameName(space, ops, lower, upper)
-    rownorm = creal_sqrt(creal_add(_ONE, gate.value))
+    rownorm = creal_sqrt(creal_add(_ONE, gate))
 
     def norms(i: int, j: int) -> CReal:
         return rownorm if i == 0 else _ZERO
@@ -369,18 +328,18 @@ def toeplitz_upper_gframe(space: SpaceDescriptor, t: ToeplitzUpperU,
     return G, norms
 
 
-def remark_frame_operator(space: SpaceDescriptor, u: ColumnLowerU,
-                          gate: NormOracle) -> OperatorName:
+def remark_frame_operator(space: SpaceDescriptor, s: SpeckerData,
+                          gate: CReal) -> OperatorName:
     """Frame operator of the loaded-column vector family e_0,
     (-a_1, 1, 0, ...), (-a_2, 0, 1, ...), ...
 
     Acting on f it returns (1 + gate) f_0 - sum a_k f_k on coordinate 0
     and f_i - a_i f_0 elsewhere; both the coordinate-0 value and the
-    truncation of the trailing column need the gate.
+    truncation of the trailing column need the gate, the claimed squared
+    l2 mass of the terms.
     """
     _require_infinite(space)
-    s = u.specker
-    gate_up = Fraction(max(0, ceil_int(gate.value.approx(0))) + 2)
+    gate_up = Fraction(max(0, ceil_int(gate.approx(0))) + 2)
     bound = 3 + 2 * gate_up
 
     def image(c: FiniteCombo) -> VectorName:
@@ -393,7 +352,7 @@ def remark_frame_operator(space: SpaceDescriptor, u: ColumnLowerU,
                     t = s.term(k - 1)
                     if t:
                         cross += t * q
-            head = creal_add(creal_scale(c0, gate.value),
+            head = creal_add(creal_scale(c0, gate),
                              creal_from_rational(c0 - cross))
             h = dyadic_round(head.approx(n + 3), n + 3)
             if h:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .errors import (
     InvariantViolationError,
@@ -142,21 +142,8 @@ def operator_from_columns(dom: SpaceDescriptor, cod: SpaceDescriptor,
     return bounded_operator(dom, cod, bound, image)
 
 
-def identity_operator(space: SpaceDescriptor) -> OperatorName:
-    return OperatorName(space, space, Fraction(1), lambda f: f)
-
-
 def zero_operator(dom: SpaceDescriptor, cod: SpaceDescriptor) -> OperatorName:
     return OperatorName(dom, cod, Fraction(0), lambda f: VectorName.zero(cod))
-
-
-def diagonal_operator(space: SpaceDescriptor,
-                      weight: Callable[[int], Fraction],
-                      bound: Fraction) -> OperatorName:
-    def column(k: int) -> FiniteCombo:
-        return FiniteCombo(space, {k: Fraction(weight(k))})
-
-    return operator_from_columns(space, space, column, bound)
 
 
 def operator_compose(outer: OperatorName, inner: OperatorName,
@@ -255,8 +242,7 @@ class OrthonormalRows:
         self.spaces = spaces
 
 
-@dataclass(frozen=True)
-class RowFrame:
+class RowFrame(NamedTuple):
     """One row of a FrameRows system: a frame for a codomain space with
     its bounds and a name for its frame operator."""
     atoms: Callable[[int], VectorName]
@@ -873,8 +859,7 @@ def block_gframe(space: SpaceDescriptor, width: int
 
 def atoms_gframe(space: SpaceDescriptor, prefix: Sequence[FiniteCombo],
                  tail_offset: int, lower: Fraction, upper: Fraction
-                 ) -> tuple[GFrameName, NormsOracle, AnalysisOracle,
-                            Callable[[int], VectorName]]:
+                 ) -> tuple[GFrameName, NormsOracle, AnalysisOracle]:
     """G-frame of a vector frame given as an explicit finite prefix of
     rational atoms followed by the shifted basis e_(i + tail_offset).
 
@@ -916,4 +901,4 @@ def atoms_gframe(space: SpaceDescriptor, prefix: Sequence[FiniteCombo],
             parts.append(creal_mul(ip, ip))
         return creal_sum(parts)
 
-    return G, norms, ao, atom
+    return G, norms, ao

@@ -534,15 +534,6 @@ class SpeckerData:
         return self._l1_prefix[count]
 
 
-def specker_partial_sums(s: SpeckerData) -> CRealSeq:
-    """The monotone sequence N -> sum of a_i**2 over i < N, exactly.
-
-    Deliberately a sequence of rationals, not a single CReal: the limit
-    has no modulus here and is never fabricated.
-    """
-    return CRealSeq(lambda n: creal_from_rational(s.sum_of_squares(n)))
-
-
 def pairing(i: int, j: int) -> int:
     """The classic diagonal bijection N x N -> N."""
     if i < 0 or j < 0:

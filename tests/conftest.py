@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from exactframes import (CReal, FiniteCombo, PrecisionExhaustionError,
-                         SpaceDescriptor, VectorName)
+from exactframes import (CReal, FiniteCombo, OperatorName,
+                         PrecisionExhaustionError, SpaceDescriptor, VectorName)
 
 # tests that run `python -m exactframes` in a fresh process import this checkout
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -19,6 +19,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @pytest.fixture
 def H():
     return SpaceDescriptor()
+
+
+def identity_operator(space):
+    return OperatorName(space, space, Fraction(1), lambda f: f)
 
 
 def combo(space, terms):

@@ -321,6 +321,15 @@ class TestDeterminism:
 
 
 class TestSubprocessEntry:
+    def test_eval_loads_no_dataclasses(self):
+        # the eval path's records are NamedTuples and plain classes, so a
+        # fresh process does not pay for importing dataclasses
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, exactframes.cli; "
+             "sys.exit('dataclasses' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_console_entry_runs(self, tmp_path):
         path = tmp_path / "doc.spec"
         path.write_text(DEMO)
@@ -342,6 +351,80 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == EXIT_EXHAUSTION
         assert "precision exhaustion" in proc.stderr
+
+
+class TestGalleryFaces:
+    """Every gallery kind under every gallery operation, one task per
+    process, with its exit code and its report byte for byte.  The two
+    Toeplitz kinds share their faces, so their apply and gated-apply
+    reports agree; each kind check and each missing gate exits 3."""
+
+    GALLERIES = (
+        "gallery UT upper-toeplitz H enum 1,3 gate 17/256\n"
+        "gallery LT lower-toeplitz H enum 1,3 gate 17/256\n"
+        "gallery CL column-lower H enum 1,3 gate 17/256\n"
+        "gallery NU upper-toeplitz H enum 1,3\n"
+        "gallery NC column-lower H enum 1,3\n")
+    OPS = ("apply", "gated-apply", "dual-apply", "frame-op")
+    UPPER = "0:7/8 1:-29/64 2:3/16 3:3/4"
+    LOWER = "0:1 1:-1/4 2:-1/16 3:23/32 4:3/16 5:3/64"
+    DUAL = ("0:1 1:-3/4 2:1/8 3:49/64 4:-51/256 5:1/512 6:49/4096 "
+            "7:-51/16384 8:1/32768 9:49/262144 10:-51/1048576 "
+            "11:1/2097152 12:49/16777216 13:-51/67108864 14:1/67108864 "
+            "15:3/67108864 16:-1/67108864")
+    NOT_DUAL = "resolve error: dual-apply needs an upper-toeplitz construction"
+    NOT_FRAME = ("resolve error: frame-op on a gallery object needs a "
+                 "column-lower construction")
+
+    NO_GATE = ("resolve error: gated operation on a {} construction "
+               "declared without a gate")
+
+    # (gallery, op) -> (exit code, value line or stderr line)
+    EXPECTED = {
+        ("UT", "apply"): (0, UPPER),
+        ("UT", "gated-apply"): (0, LOWER),
+        ("UT", "dual-apply"): (0, DUAL),
+        ("UT", "frame-op"): (3, NOT_FRAME),
+        ("LT", "apply"): (0, UPPER),
+        ("LT", "gated-apply"): (0, LOWER),
+        ("LT", "dual-apply"): (3, NOT_DUAL),
+        ("LT", "frame-op"): (3, NOT_FRAME),
+        ("CL", "apply"): (0, "0:7/8 1:-1/2 3:3/4"),
+        ("CL", "gated-apply"): (0, "0:1 1:-1/4 2:1/16 3:3/4"),
+        ("CL", "dual-apply"): (3, NOT_DUAL),
+        ("CL", "frame-op"): (0, "0:305/256 1:-3/4 2:-1/16 3:3/4"),
+        ("NU", "apply"): (0, UPPER),
+        ("NU", "gated-apply"): (3, NO_GATE.format("upper-toeplitz")),
+        ("NU", "dual-apply"): (3, NO_GATE.format("upper-toeplitz")),
+        ("NU", "frame-op"): (3, NOT_FRAME),
+        ("NC", "apply"): (0, "0:7/8 1:-1/2 3:3/4"),
+        ("NC", "gated-apply"): (3, NO_GATE.format("column-lower")),
+        ("NC", "dual-apply"): (3, NOT_DUAL),
+        ("NC", "frame-op"): (3, NO_GATE.format("column-lower")),
+    }
+
+    @pytest.mark.parametrize("index, pair", list(enumerate(EXPECTED)),
+                             ids=[f"{g}-{op}" for g, op in EXPECTED])
+    def test_exit_code_and_report(self, tmp_path, index, pair):
+        tasks = "".join(f"task {op} {g} f precision 20\n"
+                        for g, op in self.EXPECTED)
+        path = tmp_path / "doc.spec"
+        path.write_text("version 1\nspace H infinite\n"
+                        "vector f H 0:1 1:-1/2 3:3/4\n"
+                        + self.GALLERIES + tasks)
+        proc = subprocess.run(
+            [sys.executable, "-m", "exactframes", "eval", str(path),
+             "--task", str(index)],
+            capture_output=True, text=True, timeout=60)
+        code, text = self.EXPECTED[pair]
+        assert proc.returncode == code
+        if code == 0:
+            gallery, op = pair
+            assert proc.stdout == (f"task {index} {op} {gallery} f\n"
+                                   f"value = {text}\nerror <= 2^-20\n")
+            assert proc.stderr == ""
+        else:
+            assert (proc.stdout, proc.stderr) == ("", text + "\n")
 
 
 class TestFalseWindows:

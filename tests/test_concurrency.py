@@ -17,7 +17,6 @@ from exactframes import (
     creal_from_rational,
     diagonal_gframe,
     frame_operator,
-    identity_operator,
     invert_frame_operator,
     riesz_functional,
     riesz_representer,
@@ -26,7 +25,7 @@ from exactframes import (
 
 from exactframes.realcore import ONE, PrefixSums
 
-from conftest import combo, vec
+from conftest import combo, identity_operator, vec
 
 F = Fraction
 

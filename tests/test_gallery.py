@@ -5,22 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactframes import (
-    ColumnLowerU,
     FiniteCombo,
-    NormOracle,
     PrecisionExhaustionError,
     SpaceDescriptor,
     SpeckerData,
-    ToeplitzLowerU,
-    ToeplitzUpperU,
     VectorName,
     analysis,
     basis_vector,
     column_lower_adjoint,
+    column_lower_operator,
     gated_adjoint,
     gated_dual_tau,
     inner_product,
-    lower_u_synthesis,
     remark_frame_operator,
     synthesis,
     toeplitz_upper_gframe,
@@ -51,18 +47,18 @@ F = Fraction
 def truncated():
     # terms a_1 = 1/4, a_2 = 1/16; squared mass 17/256
     s = SpeckerData.from_prefix([1, 3])
-    return s, NormOracle.exact(F(17, 256))
+    return s, creal_from_rational(F(17, 256))
 
 
 @pytest.fixture
 def single():
     s = SpeckerData.from_prefix([1])
-    return s, NormOracle.exact(F(1, 16))
+    return s, creal_from_rational(F(1, 16))
 
 
 @pytest.fixture
 def empty():
-    return SpeckerData.from_prefix([]), NormOracle.exact(F(0))
+    return SpeckerData.from_prefix([]), creal_from_rational(F(0))
 
 
 def inverse_column(terms, depth):
@@ -117,7 +113,7 @@ class TestUpperOperator:
 
     def test_lower_toeplitz_synthesis_matches(self, H, truncated):
         s, _ = truncated
-        T = lower_u_synthesis(H, ToeplitzLowerU(s))
+        T = upper_u_operator(H, s)
         out = T.apply(basis_vector(H, 1)).approx(25)
         assert out == combo(H, {0: F(1, 4), 1: 1})
 
@@ -125,13 +121,13 @@ class TestUpperOperator:
 class TestColumnLowerAdjoint:
     def test_gathers_terms_into_row_zero(self, H, truncated):
         s, _ = truncated
-        A = column_lower_adjoint(H, ColumnLowerU(s))
+        A = column_lower_adjoint(H, s)
         out = A.apply(vec(H, {1: 1, 2: 1})).approx(25)
         assert out == combo(H, {0: F(1, 4) + F(1, 16), 1: 1, 2: 1})
 
     def test_identity_off_column(self, H, truncated):
         s, _ = truncated
-        A = column_lower_adjoint(H, ColumnLowerU(s))
+        A = column_lower_adjoint(H, s)
         out = A.apply(basis_vector(H, 0)).approx(25)
         assert out == combo(H, {0: 1})
 
@@ -139,33 +135,33 @@ class TestColumnLowerAdjoint:
 class TestGatedAdjoint:
     def test_first_column_exact(self, H, truncated):
         s, gate = truncated
-        A = gated_adjoint(H, ToeplitzUpperU(s), gate)
+        A = gated_adjoint(H, s, gate)
         out = A.apply(basis_vector(H, 0)).approx(30)
         want = combo(H, {0: 1, 1: F(1, 4), 2: F(1, 16)})
         assert out.sub(want).norm_squared() <= pow2(-60)
 
     def test_shifted_column(self, H, truncated):
         s, gate = truncated
-        A = gated_adjoint(H, ToeplitzUpperU(s), gate)
+        A = gated_adjoint(H, s, gate)
         out = A.apply(basis_vector(H, 2)).approx(30)
         want = combo(H, {2: 1, 3: F(1, 4), 4: F(1, 16)})
         assert out.sub(want).norm_squared() <= pow2(-60)
 
     def test_loaded_column_direction(self, H, truncated):
         s, gate = truncated
-        A = gated_adjoint(H, ColumnLowerU(s), gate)
+        A = column_lower_operator(H, s, gate)
         out = A.apply(basis_vector(H, 0)).approx(30)
         want = combo(H, {0: 1, 1: F(1, 4), 2: F(1, 16)})
         assert out.sub(want).norm_squared() <= pow2(-60)
 
     def test_empty_terms_identity_with_zero_gate(self, H, empty):
         s, gate = empty
-        A = gated_adjoint(H, ToeplitzUpperU(s), gate)
+        A = gated_adjoint(H, s, gate)
         assert A.apply(basis_vector(H, 3)).approx(30) == combo(H, {3: 1})
 
     def test_understated_gate_fails_loudly(self, H, truncated):
         s, _ = truncated
-        A = gated_adjoint(H, ToeplitzUpperU(s), NormOracle.exact(F(0)))
+        A = gated_adjoint(H, s, creal_from_rational(F(0)))
         with pytest.raises(PrecisionExhaustionError):
             A.apply(basis_vector(H, 0)).approx(25)
 
@@ -173,7 +169,7 @@ class TestGatedAdjoint:
 class TestGatedDualTau:
     def test_empty_terms_identity(self, H, empty):
         s, gate = empty
-        tau = gated_dual_tau(H, ToeplitzUpperU(s), gate)
+        tau = gated_dual_tau(H, s, gate)
         e0 = basis_vector(H, 0)
         assert vec_distance(tau.op(0).apply(e0), e0).approx(30) <= pow2(-30)
 
@@ -181,7 +177,7 @@ class TestGatedDualTau:
         # the genuine dual column carries second-order terms:
         # (1, -1/4, 1/16, -1/64, ...), not just (1, -1/4)
         s, gate = single
-        tau = gated_dual_tau(H, ToeplitzUpperU(s), gate)
+        tau = gated_dual_tau(H, s, gate)
         got = tau.op(0).apply(basis_vector(H, 0)).approx(30)
         bs = inverse_column([F(1, 4)], 80)
         want = combo(H, {m: b for m, b in enumerate(bs)})
@@ -191,7 +187,7 @@ class TestGatedDualTau:
 
     def test_two_terms_match_inverse_oracle(self, H, truncated):
         s, gate = truncated
-        tau = gated_dual_tau(H, ToeplitzUpperU(s), gate)
+        tau = gated_dual_tau(H, s, gate)
         bs = inverse_column([F(1, 4), F(1, 16)], 100)
         for j in (0, 1):
             got = tau.op(0).apply(basis_vector(H, j)).approx(30)
@@ -200,9 +196,8 @@ class TestGatedDualTau:
 
     def test_reconstruction(self, H, single):
         s, gate = single
-        upper = ToeplitzUpperU(s)
-        tau = gated_dual_tau(H, upper, gate)
-        G, norms = toeplitz_upper_gframe(H, upper, gate, F(1, 4), F(4))
+        tau = gated_dual_tau(H, s, gate)
+        G, norms = toeplitz_upper_gframe(H, s, gate, F(1, 4), F(4))
 
         def ao_tau(f):
             out = tau.op(0).apply(f)
@@ -218,7 +213,7 @@ class TestGatedDualTau:
     def test_understated_gate_rejected_at_construction(self, H, truncated):
         s, _ = truncated
         with pytest.raises(PrecisionExhaustionError):
-            gated_dual_tau(H, ToeplitzUpperU(s), NormOracle.exact(F(1, 256)))
+            gated_dual_tau(H, s, creal_from_rational(F(1, 256)))
 
 
 def _fraction_reciprocal(s, cut, upto):
@@ -243,7 +238,7 @@ def test_effective_prefix_reads_no_term_past_the_limit():
         asked.append(k)
         return None
 
-    overstated = NormOracle.exact(F(1))      # every term is zero
+    overstated = creal_from_rational(F(1))      # every term is zero
     with pytest.raises(PrecisionExhaustionError,
                        match="^norm gate: not certified within 64 terms$"):
         _effective_prefix(SpeckerData(enum), overstated, F(1, 16), 64)
@@ -267,7 +262,7 @@ def _walked_prefix(s, gate, budget, limit):
         sigma = s.sum_of_terms(count)
         eps = _allowance(s, budget, count)
         p = prec_for(eps)
-        residual = creal_sub(gate.value,
+        residual = creal_sub(gate,
                              creal_from_rational(s.sum_of_squares(count)))
         verdict = creal_compare(residual, creal_from_rational(eps), p)
         if verdict is not Comparison.GREATER_CERTAIN:
@@ -308,7 +303,7 @@ def test_effective_prefix_matches_the_walk_it_replaced(exponents, claim, gap,
         # for a test past 64 terms; every budget closes one of 2^-111,
         # since margin >= 1/64 makes eps >= (2^-53 / 3)^2 > 2^-110
         size = min(size, pow2(-111))
-    gate = NormOracle.exact(s.sum_of_squares(len(exponents)) + claim * size)
+    gate = creal_from_rational(s.sum_of_squares(len(exponents)) + claim * size)
     args = (s, gate, budget, limit)
     assert (_cut_or_exhausted(_effective_prefix, *args)
             == _cut_or_exhausted(_walked_prefix, *args))
@@ -386,9 +381,9 @@ class TestDualExpansionExact:
     def test_matches_fraction_recurrence(self, exponents, terms, n):
         H = SpaceDescriptor()
         s = SpeckerData.from_prefix(exponents)
-        gate = NormOracle.exact(s.sum_of_squares(len(exponents)))
+        gate = creal_from_rational(s.sum_of_squares(len(exponents)))
         v = vec(H, terms)
-        got = gated_dual_tau(H, ToeplitzUpperU(s), gate).op(0).apply(v).approx(n)
+        got = gated_dual_tau(H, s, gate).op(0).apply(v).approx(n)
         want, depth = _fraction_dual(H, s, gate, v.exact_combo, n)
         assert got.sub(want).norm_squared() <= pow2(-2 * (n + 3))
         # the output grid is 2^-g, g = n + 3 + bits(isqrt(K') + 1), over
@@ -404,27 +399,27 @@ class TestDualExpansionExact:
 class TestRemarkFrameOperator:
     def test_empty_terms_identity(self, H, empty):
         s, gate = empty
-        S = remark_frame_operator(H, ColumnLowerU(s), gate)
+        S = remark_frame_operator(H, s, gate)
         e0 = basis_vector(H, 0)
         assert vec_distance(S.apply(e0), e0).approx(25) <= pow2(-25)
 
     def test_single_term_exact_value(self, H, single):
         s, gate = single
-        S = remark_frame_operator(H, ColumnLowerU(s), gate)
+        S = remark_frame_operator(H, s, gate)
         got = S.apply(basis_vector(H, 0)).approx(30)
         want = combo(H, {0: F(17, 16), 1: F(-1, 4)})
         assert got.sub(want).norm_squared() <= pow2(-56)
 
     def test_quadratic_form_shows_gate(self, H, truncated):
         s, gate = truncated
-        S = remark_frame_operator(H, ColumnLowerU(s), gate)
+        S = remark_frame_operator(H, s, gate)
         e0 = basis_vector(H, 0)
         got = inner_product(S.apply(e0), e0).approx(25)
         assert abs(got - (1 + F(17, 256))) <= pow2(-25)
 
     def test_general_vector(self, H, truncated):
         s, gate = truncated
-        S = remark_frame_operator(H, ColumnLowerU(s), gate)
+        S = remark_frame_operator(H, s, gate)
         f = vec(H, {0: F(1, 2), 1: F(-1), 5: F(3)})
         # direct expansion: (1+g) f0 - sum a_k f_k on slot 0, f_i - a_i f0 after
         g = F(17, 256)
@@ -437,8 +432,8 @@ class TestRemarkFrameOperator:
 
     def test_understated_gate_fails_loudly(self, H, truncated):
         s, _ = truncated
-        S = remark_frame_operator(H, ColumnLowerU(s),
-                                  NormOracle.exact(F(1, 1024)))
+        S = remark_frame_operator(H, s,
+                                  creal_from_rational(F(1, 1024)))
         with pytest.raises(PrecisionExhaustionError):
             S.apply(basis_vector(H, 0)).approx(25)
 
@@ -447,19 +442,19 @@ class TestGateMonotonicity:
     def test_longer_prefix_with_exact_gate_still_certifies(self, H):
         for prefix in ([1], [1, 3], [1, 3, 6], [1, 3, 6, 9]):
             s = SpeckerData.from_prefix(prefix)
-            gate = NormOracle.exact(s.sum_of_squares(len(prefix)))
-            A = gated_adjoint(H, ToeplitzUpperU(s), gate)
+            gate = creal_from_rational(s.sum_of_squares(len(prefix)))
+            A = gated_adjoint(H, s, gate)
             out = A.apply(basis_vector(H, 0)).approx(30)
             assert abs(out.coeff(0) - 1) <= pow2(-29)
 
     def test_stale_gate_fails_after_growth(self, H):
         s = SpeckerData.from_prefix([1, 3, 6])
-        stale = NormOracle.exact(SpeckerData.from_prefix([1]).sum_of_squares(1))
-        A = gated_adjoint(H, ToeplitzUpperU(s), stale)
+        stale = creal_from_rational(SpeckerData.from_prefix([1]).sum_of_squares(1))
+        A = gated_adjoint(H, s, stale)
         with pytest.raises(PrecisionExhaustionError):
             A.apply(basis_vector(H, 0)).approx(25)
 
     def test_gate_dominates_partial_sums(self, truncated):
         s, gate = truncated
         for count in range(5):
-            assert gate.value.approx(30) >= s.sum_of_squares(count) - pow2(-25)
+            assert gate.approx(30) >= s.sum_of_squares(count) - pow2(-25)

@@ -9,14 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exactframes import (
-    ColumnLowerU,
     CReal,
     CRealSeq,
     FiniteCombo,
     FrameRows,
     GFrameName,
     InvariantViolationError,
-    NormOracle,
     OperatorName,
     OrthonormalRows,
     PrecisionExhaustionError,
@@ -25,8 +23,6 @@ from exactframes import (
     SpeckerData,
     SpectralHypothesisError,
     SumName,
-    ToeplitzLowerU,
-    ToeplitzUpperU,
     VectorName,
     analysis,
     atoms_gframe,
@@ -34,24 +30,22 @@ from exactframes import (
     block_gframe,
     canonical_dual_pair,
     column_lower_adjoint,
+    column_lower_operator,
     corresponding_frame,
     creal_from_rational,
     creal_sqrt,
     diagonal_gframe,
-    diagonal_operator,
     dual_from_left_inverse,
     frame_operator,
     gated_adjoint,
     gated_dual_tau,
     gframe_from_corresponding,
     gframe_to_frame,
-    identity_operator,
     inner_product,
     invert_frame_operator,
     kernel_dual_pair,
     kernel_from_dual,
     linear_combination,
-    lower_u_synthesis,
     operator_compose,
     operator_from_columns,
     pseudo_inverse,
@@ -61,7 +55,6 @@ from exactframes import (
     riesz_correspondence,
     scalar_codomain,
     sum_inner_product,
-    sum_norm,
     synthesis,
     upper_u_operator,
     vec_distance,
@@ -74,8 +67,8 @@ from exactframes.realcore import bits_for, creal_mul, creal_scale, pow2
 from exactframes.suites import standard_frames
 
 from conftest import (assert_same_outcomes, claimed_total, claims, combo,
-                      exact_prefixes, finishes, off_by_one_unit, random_combo,
-                      vec)
+                      exact_prefixes, finishes, identity_operator,
+                      off_by_one_unit, random_combo, vec)
 
 F = Fraction
 
@@ -93,8 +86,7 @@ def weighted(H):
 @pytest.fixture
 def redundant(H):
     e0 = combo(H, {0: 1})
-    G, norms, ao, _ = atoms_gframe(H, [e0, e0], -1, F(1), F(2))
-    return G, norms, ao
+    return atoms_gframe(H, [e0, e0], -1, F(1), F(2))
 
 
 def scalar_value(v, n=25):
@@ -103,7 +95,8 @@ def scalar_value(v, n=25):
 
 class TestOperatorNames:
     def test_bound_respected_on_samples(self, H):
-        op = diagonal_operator(H, lambda k: F(2) if k == 0 else F(1), F(2))
+        op = operator_from_columns(
+            H, H, lambda k: combo(H, {k: 2 if k == 0 else 1}), F(2))
         rng = random.Random(2)
         for _ in range(5):
             f = VectorName.from_combo(random_combo(rng, H))
@@ -112,7 +105,8 @@ class TestOperatorNames:
             assert out_sq <= 4 * in_sq + pow2(-20)
 
     def test_linearity(self, H):
-        op = diagonal_operator(H, lambda k: F(3, 2), F(2))
+        op = operator_from_columns(H, H, lambda k: combo(H, {k: F(3, 2)}),
+                                   F(2))
         rng = random.Random(4)
         x = VectorName.from_combo(random_combo(rng, H))
         y = VectorName.from_combo(random_combo(rng, H))
@@ -128,8 +122,9 @@ class TestOperatorNames:
         assert inv.apply(f).approx(20) is inv.apply(f).approx(20)
 
     def test_two_compositions_share_one_inversion(self, H):
-        S = diagonal_operator(
-            H, lambda k: {0: F(4), 1: F(1, 4)}.get(k, F(1)), F(4))
+        S = operator_from_columns(
+            H, H, lambda k: combo(H, {k: {0: F(4), 1: F(1, 4)}.get(k, 1)}),
+            F(4))
         calls = [0]
 
         def counted(g):
@@ -140,8 +135,10 @@ class TestOperatorNames:
                                     F(1, 4), F(4))
         f = vec(H, {0: 1, 1: F(1, 2), 2: F(-1, 3)})
         # equal bounds, so both query the inverse at one precision
-        first = operator_compose(diagonal_operator(H, lambda k: F(1), F(2)), inv)
-        second = operator_compose(diagonal_operator(H, lambda k: F(2), F(2)), inv)
+        first = operator_compose(operator_from_columns(
+            H, H, lambda k: combo(H, {k: 1}), F(2)), inv)
+        second = operator_compose(operator_from_columns(
+            H, H, lambda k: combo(H, {k: 2}), F(2)), inv)
         first.apply(f).approx(20)
         once = calls[0]
         second.apply(f).approx(20)
@@ -419,7 +416,7 @@ class TestSynthesisAnalysis:
         G, norms, ao = parseval
         out = analysis(G, ao).apply(VectorName.zero(H))
         assert out.normsq.approx(25) <= pow2(-25)
-        assert sum_norm(out).approx(20) <= pow2(-19)
+        assert creal_sqrt(out.normsq).approx(20) <= pow2(-19)
 
     def test_adjoint_identity(self, H, parseval):
         G, norms, ao = parseval
@@ -587,9 +584,9 @@ class TestAtomsGFrame:
         for k, q in atoms:
             weight[k] = weight.get(k, F(0)) + q * q
         prefix = [combo(H, {k: q}) for k, q in atoms]
-        G, norms, ao, _ = atoms_gframe(H, prefix, T - len(prefix),
-                                       min(weight.values()),
-                                       max(weight.values()))
+        G, norms, ao = atoms_gframe(H, prefix, T - len(prefix),
+                                    min(weight.values()),
+                                    max(weight.values()))
 
         def w(k):
             return weight.get(k, F(1))
@@ -652,7 +649,7 @@ def _understated_gate(face):
     mass 17/256) under a gate claimed as 1/256."""
     def build(H):
         s = SpeckerData.from_prefix([1, 3])
-        op = face(H, s, NormOracle.exact(F(1, 256)))
+        op = face(H, s, creal_from_rational(F(1, 256)))
         return op.apply(basis_vector(H, 0))
     return build
 
@@ -661,14 +658,11 @@ def _understated_gate(face):
     ("coordinate square sum", _understated_coordinates),
     ("row coefficient oracle", _understated_row_coefficients),
     ("input norm datum", _understated_input_norm),
+    ("norm gate", _understated_gate(gated_adjoint)),
+    ("norm gate", _understated_gate(column_lower_operator)),
+    ("norm gate", _understated_gate(remark_frame_operator)),
     ("norm gate", _understated_gate(
-        lambda H, s, gate: gated_adjoint(H, ToeplitzUpperU(s), gate))),
-    ("norm gate", _understated_gate(
-        lambda H, s, gate: gated_adjoint(H, ColumnLowerU(s), gate))),
-    ("norm gate", _understated_gate(
-        lambda H, s, gate: remark_frame_operator(H, ColumnLowerU(s), gate))),
-    ("norm gate", _understated_gate(
-        lambda H, s, gate: gated_dual_tau(H, ToeplitzUpperU(s), gate).op(0))),
+        lambda H, s, gate: gated_dual_tau(H, s, gate).op(0))),
 ], ids=["coordinate-square-sum", "row-coefficient-oracle", "input-norm-datum",
         "norm-gate-gated-adjoint-upper", "norm-gate-gated-adjoint-column",
         "norm-gate-remark-frame-operator", "norm-gate-gated-dual-tau"])
@@ -975,7 +969,7 @@ class TestExactClosure:
         frames = [
             (diagonal_gframe(H, {0: F(2), 1: F(1, 2)}), {0: 4, 1: F(1, 4)}),
             # atoms e0, e0, e1, e2, ...: exact unit norms, operator diag(2, 1, ...)
-            (atoms_gframe(H, [combo(H, {0: 1})] * 2, -1, F(1), F(2))[:3], {0: 2}),
+            (atoms_gframe(H, [combo(H, {0: 1})] * 2, -1, F(1), F(2)), {0: 2}),
         ]
         for (G, norms, ao), weight in frames:
             out = frame_operator(G, norms, ao).apply(vec(H, f))
@@ -997,9 +991,11 @@ _FALSE_LOWER_BOUND = """
 import sys
 from fractions import Fraction as F
 from exactframes import (FiniteCombo, SpaceDescriptor, SpectralHypothesisError,
-                         VectorName, diagonal_operator, invert_frame_operator)
+                         VectorName, invert_frame_operator,
+                         operator_from_columns)
 H = SpaceDescriptor()
-S = diagonal_operator(H, lambda k: F(1, 16) if k == 0 else F(1), F(1))
+S = operator_from_columns(
+    H, H, lambda k: FiniteCombo(H, {k: F(1, 16) if k == 0 else F(1)}), F(1))
 inv = invert_frame_operator(S, F(sys.argv[1]), F(1))
 g = VectorName.from_combo(FiniteCombo(H, {0: F(1), 1: F(1)}))
 for n in (8, 16, 32):
@@ -1081,7 +1077,7 @@ class TestReconstructionPaths:
         frames.update({
             "parseval": diagonal_gframe(H),
             "block 2": block_gframe(H, 2),
-            "atoms 1 2": atoms_gframe(H, [e0, e0], -1, F(1), F(2))[:3],
+            "atoms 1 2": atoms_gframe(H, [e0, e0], -1, F(1), F(2)),
             "diagonal 0:2": diagonal_gframe(H, {0: F(2)}),
             "diagonal 0:2 1:1/2": diagonal_gframe(H, {0: F(2), 1: F(1, 2)}),
         })
@@ -1116,28 +1112,28 @@ class TestReconstructionPaths:
 
 
 _SPECKER = SpeckerData.from_prefix([1, 3])
-_GATE = NormOracle.exact(F(17, 256))
+_GATE = creal_from_rational(F(17, 256))
 
 # every operator built on bounded_operator, with an input index its
 # error is amplified from
 _BOUNDED_OPERATOR_USERS = {
-    "columns": lambda H: (diagonal_operator(
-        H, lambda k: F(2) if k == 0 else F(1), F(2)), 0),
+    "columns": lambda H: (operator_from_columns(
+        H, H, lambda k: combo(H, {k: 2 if k == 0 else 1}), F(2)), 0),
     "frame operator": lambda H: (
         frame_operator(*diagonal_gframe(H, {0: F(2)})), 0),
     "upper toeplitz": lambda H: (upper_u_operator(H, _SPECKER), 3),
     "lower synthesis": lambda H: (
-        lower_u_synthesis(H, ToeplitzLowerU(_SPECKER)), 3),
+        upper_u_operator(H, _SPECKER), 3),
     "column adjoint": lambda H: (
-        column_lower_adjoint(H, ColumnLowerU(_SPECKER)), 1),
+        column_lower_adjoint(H, _SPECKER), 1),
     "gated lower toeplitz": lambda H: (
-        gated_adjoint(H, ToeplitzUpperU(_SPECKER), _GATE), 0),
+        gated_adjoint(H, _SPECKER, _GATE), 0),
     "gated loaded column": lambda H: (
-        gated_adjoint(H, ColumnLowerU(_SPECKER), _GATE), 0),
+        column_lower_operator(H, _SPECKER, _GATE), 0),
     "dual tau": lambda H: (
-        gated_dual_tau(H, ToeplitzUpperU(_SPECKER), _GATE).op(0), 0),
+        gated_dual_tau(H, _SPECKER, _GATE).op(0), 0),
     "remark frame operator": lambda H: (
-        remark_frame_operator(H, ColumnLowerU(_SPECKER), _GATE), 0),
+        remark_frame_operator(H, _SPECKER, _GATE), 0),
 }
 
 

@@ -84,6 +84,42 @@ def test_every_private_name_is_used():
     assert dead == []
 
 
+# exported names that no library module reads, each with the reason it
+# stays public
+UNCALLED_EXPORTS = {
+    "gframe_to_frame": "Sun's correspondence from a g-frame to its frame; "
+                       "a battery of the second path will call it",
+    "gframe_from_corresponding": "Sun's correspondence back from the "
+                                 "frame; the same battery will call it",
+    "pairing": "the diagonal enumeration of index pairs, the inverse of "
+               "unpairing, which directsum and suites read",
+}
+
+
+def uncalled_exports(init_source: str, module_sources: list[str]) -> list[str]:
+    """The names that the package's __init__ imports from its modules and
+    no module source reads.  __all__ is not used: it also lists the
+    submodules."""
+    used = set().union(*map(references, module_sources))
+    return [a.name for node in ast.parse(init_source).body
+            if isinstance(node, ast.ImportFrom) for a in node.names
+            if a.name not in used]
+
+
+def test_uncalled_exports_are_found():
+    init = ("from .a import read, defined_only\nfrom .b import Cls\n"
+            "__all__ = ['read', 'defined_only', 'Cls', 'a', 'b']\n")
+    modules = ["def read():\n    pass\ndef defined_only():\n    pass\n",
+               "from .a import read\nclass Cls:\n    x = read()\n"]
+    assert uncalled_exports(init, modules) == ["defined_only", "Cls"]
+
+
+def test_every_exported_name_has_a_library_caller():
+    init = (PACKAGE / "__init__.py").read_text()
+    uncalled = uncalled_exports(init, [p.read_text() for p in MODULES])
+    assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)
+
+
 def raising_functions(source: str, error: str) -> list[str]:
     """The module-level function around each `raise <error>(...)` or
     `raise <error>`, or "<module>" for a raise outside any function."""

@@ -24,7 +24,6 @@ from exactframes import (
     format_rational,
     pairing,
     parse_rational,
-    specker_partial_sums,
     unpairing,
 )
 from exactframes.realcore import (
@@ -322,17 +321,15 @@ class TestConsistency:
 class TestSpecker:
     def test_partial_sums_examples(self):
         s = SpeckerData.from_prefix([1, 3])
-        sums = specker_partial_sums(s)
-        assert sums.at(0).approx(10) == 0
-        assert sums.at(1).approx(10) == F(1, 16)
-        assert sums.at(2).approx(10) == F(17, 256)
+        assert s.sum_of_squares(0) == 0
+        assert s.sum_of_squares(1) == F(1, 16)
+        assert s.sum_of_squares(2) == F(17, 256)
 
     def test_monotone_and_bounded(self):
         s = SpeckerData(lambda i: 2 * i)
-        sums = specker_partial_sums(s)
         prev = F(-1)
         for n in range(12):
-            cur = sums.at(n).approx(40)
+            cur = s.sum_of_squares(n)
             assert prev < cur or (n == 0 and cur == 0)
             assert cur < F(1, 3)
             prev = cur
