@@ -260,9 +260,6 @@ def _declare_sumvec(reg: Registry, rest: list[str]) -> None:
             raise SpecParseError(f"expected idx@vector, got {tok!r}")
         idx, _, vec_name = tok.partition("@")
         v = reg.vector(vec_name)
-        if v.exact_combo is None:
-            raise SpecResolveError(
-                f"sumvec component {vec_name!r} must be an exact literal")
         slot = _nat(idx, "component index")
         if slot in comps:
             raise ValueError(f"duplicate component index {slot}")

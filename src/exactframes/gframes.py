@@ -207,14 +207,14 @@ class GFrameName:
 
 
 class FrameName:
-    """A doubly indexed vector frame with bounds and per-vector norms.
+    """A doubly indexed vector frame with bounds.
 
-    vecnorm(i, j) houses the norm data that makes the family usable: the
-    vectors themselves are assembled through those values."""
+    The norms of its vectors are not kept here: they are the data that
+    assembled the vectors, and every operation that needs them (as
+    synthesis does) takes them as an explicit argument."""
 
     def __init__(self, space: SpaceDescriptor,
                  vecs: Callable[[int, int], VectorName],
-                 vecnorms: Callable[[int, int], CReal],
                  lower: Fraction, upper: Fraction):
         lower, upper = Fraction(lower), Fraction(upper)
         if not (0 < lower <= upper):
@@ -223,15 +223,10 @@ class FrameName:
         self.lower = lower
         self.upper = upper
         self._vecs = vecs
-        self._norms = vecnorms
         self._vc = _Memo()
-        self._nc = _Memo()
 
     def vec(self, i: int, j: int) -> VectorName:
         return self._vc.lookup((i, j), self._vecs, i, j)
-
-    def vecnorm(self, i: int, j: int) -> CReal:
-        return self._nc.lookup((i, j), self._norms, i, j)
 
 
 class OrthonormalRows:
@@ -284,20 +279,29 @@ def scalar_codomain() -> SpaceDescriptor:
 
 
 def riesz_correspondence(atoms: Callable[[int], tuple[VectorName, CReal]],
-                         lower: Fraction, upper: Fraction) -> GFrameName:
+                         lower: Fraction, upper: Fraction
+                         ) -> tuple[GFrameName, NormsOracle]:
     """Turn a vector frame (with per-atom norms) into the g-frame of
     evaluation operators f -> <f, atom_i> into a shared scalar space:
     each value is the inner product placed at index 0 (_coordinate).
 
-    Zero atoms are allowed; their operators are zero with bound 0.
+    Returns the g-frame with its column norms (W. Sun): the (i, 0)
+    vector of the corresponding frame is atom i itself, so norms(i, 0)
+    is the atom's norm and norms(i, j) = 0 for j > 0.  Each atoms(i) is
+    read once.  Zero atoms are allowed; their operators are zero with
+    bound 0.
     """
-    first, _ = atoms(0)
-    dom = first.space
+    read = _Memo()
+
+    def atom(i: int) -> tuple[VectorName, CReal]:
+        return read.lookup(i, atoms, i)
+
+    dom = atom(0)[0].space
     scal = scalar_codomain()
     cap = Fraction(ceil_sqrt_int(upper))
 
     def make_op(i: int) -> OperatorName:
-        y, ynorm = atoms(i)
+        y, ynorm = atom(i)
         if not same_space(y.space, dom):
             raise SpaceMismatchError("frame atoms must share one space")
 
@@ -310,7 +314,10 @@ def riesz_correspondence(atoms: Callable[[int], tuple[VectorName, CReal]],
             b = max(ynorm.approx(1) + Fraction(1, 2), Fraction(0))
         return OperatorName(dom, scal, min(b, cap), program)
 
-    return GFrameName(dom, make_op, lower, upper)
+    def norms(i: int, j: int) -> CReal:
+        return atom(i)[1] if j == 0 else _ZERO
+
+    return GFrameName(dom, make_op, lower, upper), norms
 
 
 def gframe_to_frame(G: GFrameName, opnorms: CRealSeq) -> Callable[[int], VectorName]:
@@ -366,10 +373,7 @@ def corresponding_frame(G: GFrameName, sys: InnerSystem,
 
         return riesz_representer(FunctionalName(H, ev, norms(i, j)))
 
-    def vecnorm(i: int, j: int) -> CReal:
-        return norms(i, j) if row_vector(i, j) is not None else _ZERO
-
-    return FrameName(H, vec, vecnorm, lower, upper)
+    return FrameName(H, vec, lower, upper)
 
 
 def gframe_from_corresponding(F: FrameName, sys: InnerSystem,
@@ -773,6 +777,25 @@ def kernel_from_dual(G: GFrameName, D: GFrameName, norms: NormsOracle,
 # stock constructions used by the command line and the check batteries
 
 
+def _analysis_mass(pairs: Sequence[tuple[Fraction, VectorName]]
+                   ) -> AnalysisOracle:
+    """The analysis oracle f -> ||f||^2 + sum of c <f, y>^2 over the
+    finite list of (c, y) pairs: each stock g-frame's analysis mass is
+    the squared norm up to finitely many rank-one corrections."""
+    def ao(f: VectorName) -> CReal:
+        total = inner_product(f, f)
+        if not pairs:
+            return total
+        parts = [total]
+        for c, y in pairs:
+            ip = inner_product(f, y)
+            sq = creal_mul(ip, ip)
+            parts.append(sq if c == 1 else creal_scale(c, sq))
+        return creal_sum(parts)
+
+    return ao
+
+
 def diagonal_gframe(space: SpaceDescriptor,
                     overrides: Union[Mapping[int, Fraction],
                                      Iterable[tuple[int, Fraction]],
@@ -781,7 +804,11 @@ def diagonal_gframe(space: SpaceDescriptor,
     """Scalar-valued g-frame f -> w_i <f, e_i> with weight 1 except for
     the finitely many overrides, given as a mapping or as (index, weight)
     pairs with distinct indices; returns the frame together with its
-    column-norm and analysis oracles."""
+    column-norm and analysis oracles.
+
+    It is the riesz_correspondence of the atoms w_i e_i, which also
+    supplies the column norms |w_i|; on a finite space an index at or
+    past the dimension has the zero atom."""
     if isinstance(overrides, Mapping):
         overrides = overrides.items()
     table: dict[int, Fraction] = {}
@@ -792,39 +819,21 @@ def diagonal_gframe(space: SpaceDescriptor,
         if w == 0:
             raise ValueError("zero weights would break the lower bound")
         table[i] = Fraction(w)
-    scal = scalar_codomain()
 
-    def weight(i: int) -> Fraction:
-        return table.get(i, Fraction(1))
-
-    def make_op(i: int) -> OperatorName:
-        w = weight(i)
-
-        def column(k: int, i=i, w=w) -> FiniteCombo:
-            return FiniteCombo(scal, {0: w} if k == i else {})
-
-        return operator_from_columns(space, scal, column, abs(w))
+    def atom(i: int) -> tuple[VectorName, CReal]:
+        if space.dimension is not None and i >= space.dimension:
+            return VectorName.zero(space), _ZERO
+        w = table.get(i, Fraction(1))
+        return (VectorName.from_combo(FiniteCombo(space, {i: w})),
+                creal_from_rational(abs(w)))
 
     squares = {w * w for w in table.values()}
     uncovered = space.dimension is None or len(table) < space.dimension
     if uncovered:
         squares.add(Fraction(1))
-    lower, upper = min(squares), max(squares)
-    G = GFrameName(space, make_op, lower, upper)
-
-    def norms(i: int, j: int) -> CReal:
-        return creal_from_rational(abs(weight(i))) if j == 0 else _ZERO
-
-    base_corrections = [(i, w * w - 1) for i, w in table.items() if w * w != 1]
-
-    def ao(f: VectorName) -> CReal:
-        total = inner_product(f, f)
-        parts = [total]
-        for i, c in base_corrections:
-            ip = inner_product(f, basis_vector(space, i))
-            parts.append(creal_scale(c, creal_mul(ip, ip)))
-        return creal_sum(parts) if len(parts) > 1 else total
-
+    G, norms = riesz_correspondence(atom, min(squares), max(squares))
+    ao = _analysis_mass([(w * w - 1, basis_vector(space, i))
+                         for i, w in table.items() if w * w != 1])
     return G, norms, ao
 
 
@@ -851,10 +860,7 @@ def block_gframe(space: SpaceDescriptor, width: int
     def norms(i: int, j: int) -> CReal:
         return creal_from_rational(1 if j < width else 0)
 
-    def ao(f: VectorName) -> CReal:
-        return inner_product(f, f)
-
-    return G, norms, ao
+    return G, norms, _analysis_mass([])
 
 
 def atoms_gframe(space: SpaceDescriptor, prefix: Sequence[FiniteCombo],
@@ -871,34 +877,19 @@ def atoms_gframe(space: SpaceDescriptor, prefix: Sequence[FiniteCombo],
     P = len(prefix)
     if P + tail_offset < 0:
         raise ValueError("tail offset points below the basis")
+    named = [VectorName.from_combo(c) for c in prefix]
 
-    def atom(i: int) -> VectorName:
-        if i < P:
-            return VectorName.from_combo(prefix[i])
-        return basis_vector(space, i + tail_offset)
-
-    def atom_norm(i: int) -> CReal:
+    def atom(i: int) -> tuple[VectorName, CReal]:
         if i >= P:
-            return creal_from_rational(1)
+            return basis_vector(space, i + tail_offset), creal_from_rational(1)
         q = prefix[i].norm_squared()
         root = _rational_sqrt(q)
         if root is not None:
-            return creal_from_rational(root)
-        return creal_sqrt(creal_from_rational(q))
+            return named[i], creal_from_rational(root)
+        return named[i], creal_sqrt(creal_from_rational(q))
 
-    G = riesz_correspondence(lambda i: (atom(i), atom_norm(i)), lower, upper)
-
-    def norms(i: int, j: int) -> CReal:
-        return atom_norm(i) if j == 0 else _ZERO
-
-    def ao(f: VectorName) -> CReal:
-        parts = [inner_product(f, f)]
-        for k in range(P + tail_offset):
-            ip = inner_product(f, basis_vector(space, k))
-            parts.append(creal_scale(Fraction(-1), creal_mul(ip, ip)))
-        for i in range(P):
-            ip = inner_product(f, atom(i))
-            parts.append(creal_mul(ip, ip))
-        return creal_sum(parts)
-
+    G, norms = riesz_correspondence(atom, lower, upper)
+    ao = _analysis_mass(
+        [(Fraction(-1), basis_vector(space, k)) for k in range(P + tail_offset)]
+        + [(Fraction(1), y) for y in named])
     return G, norms, ao

@@ -471,6 +471,9 @@ class SpeckerData:
 
     A finite prefix models truncated data: term(i) = 0 past the prefix.
     Injectivity is enforced lazily on whatever prefix gets queried.
+    Values are computed in index order with no lock held, so an
+    enumerator may read earlier values; a cached read takes no lock, and
+    when two threads race for an index the first value stored wins.
     """
 
     def __init__(self, enumerator: Callable[[int], Optional[int]],
@@ -493,13 +496,16 @@ class SpeckerData:
         return cls(enum, length=len(vals))
 
     def exponent(self, i: int) -> Optional[int]:
-        with self._lock:
-            while len(self._values) <= i:
-                k = len(self._values)
-                if self.length is not None and k >= self.length:
-                    v = None
-                else:
-                    v = self._enumerator(k)
+        if i < 0:
+            raise ValueError("index must be a natural number")
+        values = self._values
+        while len(values) <= i:
+            k = len(values)
+            past = self.length is not None and k >= self.length
+            v = None if past else self._enumerator(k)     # no lock held
+            with self._lock:
+                if len(values) > k:
+                    continue                    # another thread stored k first
                 if v is not None:
                     if v < 0:
                         raise InvariantViolationError("enumerator values must be naturals")
@@ -507,11 +513,12 @@ class SpeckerData:
                         raise InvariantViolationError(
                             f"enumerator repeats value {v} at indices {self._seen[v]} and {k}")
                     self._seen[v] = k
-                self._values.append(v)
                 t = self.term_from_exponent(v)
+                # the sums go in first: a reader who sees value k sees them
                 self._sq_prefix.append(self._sq_prefix[-1] + t * t)
                 self._l1_prefix.append(self._l1_prefix[-1] + t)
-            return self._values[i]
+                values.append(v)
+        return values[i]
 
     @staticmethod
     def term_from_exponent(e: Optional[int]) -> Fraction:
@@ -524,12 +531,12 @@ class SpeckerData:
 
     def sum_of_squares(self, count: int) -> Fraction:
         """Exact partial sum of a_i**2 over i < count."""
-        if count > 0:
+        if count:               # a negative count raises there
             self.exponent(count - 1)
         return self._sq_prefix[count]
 
     def sum_of_terms(self, count: int) -> Fraction:
-        if count > 0:
+        if count:               # a negative count raises there
             self.exponent(count - 1)
         return self._l1_prefix[count]
 

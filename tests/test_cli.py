@@ -230,6 +230,152 @@ class TestExitCodes:
         assert run_eval(tmp_path, text) == EXIT_EXHAUSTION
 
 
+_H = "version 1\nspace H infinite\n"
+_F = _H + "vector f H 0:1\n"
+
+
+class TestValidationMessages:
+    """Each validation failure of the command line, with its exit code
+    and its stderr line byte for byte.  None for the text is a document
+    that cannot be read."""
+
+    CASES = {
+        "space-needs": ("version 1\nspace H\n", (), EXIT_PARSE,
+                        "parse error: space needs: <name> infinite|<dim>"),
+        "vector-needs": (_H + "vector v\n", (), EXIT_PARSE,
+                         "parse error: vector needs: <name> <space> "
+                         "[idx:rat ...]"),
+        "sumspace-needs": (_H + "sumspace S\n", (), EXIT_PARSE,
+                           "parse error: sumspace needs: <name> <space>"),
+        "sumvec-needs": (_H + "sumvec X\n", (), EXIT_PARSE,
+                         "parse error: sumvec needs: <name> <sumspace> "
+                         "[normsq <rat>] [idx@vector ...]"),
+        "normsq-needs": (_H + "sumspace S H\nsumvec X S normsq\n", (),
+                         EXIT_PARSE,
+                         "parse error: normsq needs a rational value"),
+        "idx-at-vector": (_F + "sumspace S H\nsumvec X S 0:f\n", (),
+                          EXIT_PARSE,
+                          "parse error: expected idx@vector, got '0:f'"),
+        "gframe-needs": (_H + "gframe W H\n", (), EXIT_PARSE,
+                         "parse error: gframe needs: <name> <space> <kind> ..."),
+        "block-needs": (_H + "gframe W H block\n", (), EXIT_PARSE,
+                        "parse error: block needs: <width>"),
+        "atoms-needs": (_H + "gframe R H atoms 1 2\n", (), EXIT_PARSE,
+                        "parse error: atoms needs: <A> <B> <tail-offset> | ..."),
+        "unknown-gframe-kind": (_H + "gframe W H frobnicate\n", (),
+                                EXIT_PARSE,
+                                "parse error: unknown gframe kind 'frobnicate'"),
+        "gallery-needs": (_H + "gallery UT upper-toeplitz H 1,3\n", (),
+                          EXIT_PARSE,
+                          "parse error: gallery needs: <name> <kind> <space> "
+                          "enum <list>|empty [gate <rat>]"),
+        "unknown-gallery-kind": (_H + "gallery UT sideways H enum 1\n", (),
+                                 EXIT_PARSE,
+                                 "parse error: unknown gallery kind 'sideways'"),
+        "enum-needs": (_H + "gallery UT upper-toeplitz H enum\n", (),
+                       EXIT_PARSE,
+                       "parse error: enum needs a value list or 'empty'"),
+        "trailing-gallery-arguments": (
+            _H + "gallery UT upper-toeplitz H enum empty gates 0\n", (),
+            EXIT_PARSE,
+            "parse error: trailing gallery arguments must be 'gate <rat>'"),
+        "unknown-directive": (_H + "frame W H\n", (), EXIT_PARSE,
+                              "parse error: line 3: unknown directive 'frame'"),
+        "empty-document": ("# nothing but a comment\n\n", (), EXIT_PARSE,
+                           "parse error: empty document"),
+        "task-needs": (_F + "task norm f\n", (), EXIT_PARSE,
+                       "parse error: line 4: task needs '... precision <n>'"),
+        "argument-count": (_F + "task norm f f precision 10\n", (),
+                           EXIT_RESOLVE,
+                           "resolve error: operation 'norm' takes 1 "
+                           "argument(s), got 2"),
+        "unknown-operation": (_F + "task frobnicate f precision 10\n", (),
+                              EXIT_RESOLVE,
+                              "resolve error: unknown operation 'frobnicate'"),
+        "task-index": (_F + "task norm f precision 10\n", ("--task", "3"),
+                       EXIT_RESOLVE,
+                       "resolve error: task index 3 out of range "
+                       "(document has 1)"),
+        "precision-override": (_F + "task norm f precision 10\n",
+                               ("--precision", "40", "--max-precision", "32"),
+                               EXIT_PARSE,
+                               "parse error: precision 40 exceeds the "
+                               "configured maximum 32"),
+        "unreadable-document": (None, (), EXIT_PARSE,
+                                "error: [Errno 2] No such file or directory: "
+                                "'{path}'"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code_and_message(self, tmp_path, capsys, case):
+        text, extra, code, line = self.CASES[case]
+        path = tmp_path / "doc.spec"
+        if text is not None:
+            path.write_text(text)
+        assert invoke(["eval", str(path), *extra]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", line.format(path=path) + "\n")
+
+    def test_empty_enumeration_gives_the_identity(self, tmp_path, capsys):
+        # no terms: every face of every kind is the identity
+        text = (_H + "vector f H 0:1 1:-1/2\n"
+                "gallery UT upper-toeplitz H enum empty gate 0\n"
+                "gallery CL column-lower H enum empty gate 0\n"
+                "task apply UT f precision 10\n"
+                "task gated-apply UT f precision 10\n"
+                "task dual-apply UT f precision 10\n"
+                "task gated-apply CL f precision 10\n"
+                "task frame-op CL f precision 10\n")
+        assert run_eval(tmp_path, text) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports = captured.out.strip().split("\n\n")
+        assert len(reports) == 5
+        assert all(r.splitlines()[1] == "value = 0:1 1:-1/2" for r in reports)
+
+
+class TestGFrameKinds:
+    """frame-op and reconstruct on every g-frame kind, in process.  Each
+    frame operator is a finite matrix M on the first coordinates plus
+    the identity on the rest, S = M (+) I, checked in Fractions."""
+
+    F_TERMS = {0: F(3, 5), 1: F(-4, 5), 3: F(1, 7)}
+    # kind -> (declaration arguments, M)
+    KINDS = {
+        "parseval": ("parseval", [[F(1)]]),
+        "diagonal": ("diagonal 0:2 1:1/2", [[F(4), F(0)], [F(0), F(1, 4)]]),
+        "block": ("block 2", [[F(1), F(0)], [F(0), F(1)]]),
+        # atoms e0, e0, e1, e2, ...: S = diag(2, 1, 1, ...)
+        "atoms": ("atoms 1 2 -1 | 0:1 | 0:1", [[F(2)]]),
+    }
+
+    def _reports(self, kind, op):
+        decl, _ = self.KINDS[kind]
+        doc = load_document(
+            _H + "vector f H 0:3/5 1:-4/5 3:1/7\n"
+            f"gframe G H {decl}\n"
+            f"task {op} G f precision 32\ntask {op} G f precision 64\n")
+        reg = build_registry(doc)
+        return [(n, TestDualTailTask._value(run_task(doc, i, registry=reg)))
+                for i, n in enumerate((32, 64))]
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_frame_operator_is_the_exact_product(self, kind):
+        M = self.KINDS[kind][1]
+        f = self.F_TERMS
+        want = {k: q for k, q in f.items() if k >= len(M)}
+        for k, row in enumerate(M):
+            want[k] = sum((m * f.get(j, 0) for j, m in enumerate(row)), F(0))
+        for n, got in self._reports(kind, "frame-op"):
+            assert TestDualTailTask._dist_sq(got, want) <= pow2(-2 * n)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_reconstruct_returns_the_input(self, kind):
+        for n, got in self._reports(kind, "reconstruct"):
+            assert TestDualTailTask._dist_sq(got, self.F_TERMS) <= pow2(-2 * n)
+
+
 class TestDualTailTask:
     """The slowest eval task of the benchmark's direct workload: the dual
     of the upper-Toeplitz g-frame on terms 1/16, 1/4, 1/8 at precision

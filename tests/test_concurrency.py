@@ -10,6 +10,7 @@ from exactframes import (
     CReal,
     FrameName,
     GFrameName,
+    SpeckerData,
     SumName,
     VectorName,
     basis_vector,
@@ -145,8 +146,7 @@ def test_per_key_tables_hand_every_thread_one_object(H):
 
     G = GFrameName(H, slow(lambda i: identity_operator(H)), F(1), F(1))
     S = SumName(G.sum_space(), slow(lambda i: basis_vector(H, i)), ONE)
-    frame = FrameName(H, slow(lambda i, j: basis_vector(H, i)),
-                      slow(lambda i, j: ONE), F(1), F(1))
+    frame = FrameName(H, slow(lambda i, j: basis_vector(H, i)), F(1), F(1))
     key = ("probe",)
 
     def lookups():
@@ -162,3 +162,28 @@ def test_per_key_tables_hand_every_thread_one_object(H):
     # a lost update would hand different threads different objects
     for k, shared in enumerate(got[0]):
         assert all(run[k] is shared for run in got)
+
+
+def test_specker_data_hands_every_thread_one_prefix():
+    def enum(k):
+        time.sleep(0)           # let another thread in between values
+        return (3 * k + 1) % 64 if k < 64 else k + 64
+
+    s = SpeckerData(enum)
+
+    def read():
+        return ([s.exponent(k) for k in range(80)],
+                [s.sum_of_squares(c) for c in range(81)],
+                [s.sum_of_terms(c) for c in range(81)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = hammer(read)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = SpeckerData(enum)
+    expected = ([serial.exponent(k) for k in range(80)],
+                [serial.sum_of_squares(c) for c in range(81)],
+                [serial.sum_of_terms(c) for c in range(81)])
+    assert all(run == expected for run in got)

@@ -172,7 +172,7 @@ class TestOperatorNames:
 
 class TestRieszCorrespondence:
     def test_basis_frame_evaluations(self, H):
-        G = riesz_correspondence(
+        G, _ = riesz_correspondence(
             lambda i: (basis_vector(H, i), creal_from_rational(1)),
             F(1), F(1))
         out = G.op(0).apply(basis_vector(H, 0))
@@ -191,7 +191,7 @@ class TestRieszCorrespondence:
 
     def test_lazy_input_stays_within_the_bound(self, H):
         atoms = [combo(H, {0: F(1, 2), 1: F(-1)}), combo(H, {1: F(2, 3)})]
-        G = riesz_correspondence(
+        G, _ = riesz_correspondence(
             lambda i: (VectorName.from_combo(atoms[i]), creal_sqrt(
                 creal_from_rational(atoms[i].norm_squared()))), F(1), F(2))
         c = combo(H, {0: F(1, 3), 1: F(-2, 5), 3: F(1, 7)})
@@ -208,10 +208,24 @@ class TestRieszCorrespondence:
             k = i if i == 0 else i - 1
             return basis_vector(H, k), creal_from_rational(1)
 
-        G = riesz_correspondence(atoms, F(1), F(1))
+        G, _ = riesz_correspondence(atoms, F(1), F(1))
         assert G.op(1).bound == 0
         assert abs(scalar_value(G.op(1).apply(vec(H, {0: 5})))) <= pow2(-25)
 
+
+    def test_returns_the_atom_norms_and_reads_each_atom_once(self, H):
+        reads = []
+
+        def atoms(i):
+            reads.append(i)
+            return vec(H, {i: i + 1}), creal_from_rational(i + 1)
+
+        G, norms = riesz_correspondence(atoms, F(1, 2), F(2))
+        G.op(2).apply(vec(H, {2: 1}))
+        assert norms(2, 0).exact_value == 3
+        assert norms(2, 1).exact_value == 0
+        assert norms(5, 0).exact_value == 6
+        assert sorted(reads) == [0, 2, 5]
 
 class TestCorrespondingFrame:
     def test_parseval_vectors(self, H, parseval):
@@ -978,7 +992,7 @@ class TestExactClosure:
             assert cuts == []
 
     def test_exact_evaluations(self, H):
-        G = riesz_correspondence(
+        G, _ = riesz_correspondence(
             lambda i: (vec(H, {i: F(3, 5), i + 1: F(4, 5)}), creal_from_rational(1)),
             F(1, 2), F(2))
         out = G.op(2).apply(vec(H, {2: 3, 3: F(1, 5)}))

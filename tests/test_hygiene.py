@@ -84,6 +84,55 @@ def test_every_private_name_is_used():
     assert dead == []
 
 
+ROOT = PACKAGE.parents[1]
+READERS = sorted(p for d in ("src", "tests", "bench")
+                 for p in (ROOT / d).rglob("*.py"))
+
+
+def public_methods(source: str) -> list[str]:
+    """Class.name for each public method or property of every class."""
+    return [f"{node.name}.{item.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Every name the source reads as an attribute, .name, or as a
+    __dict__["name"] key."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "__dict__"
+              and isinstance(node.slice, ast.Constant)):
+            reads.add(node.slice.value)
+    return reads
+
+
+def test_unread_methods_are_found():
+    source = ("class A:\n    def used(self):\n        pass\n"
+              "    @property\n    def prop(self):\n        pass\n"
+              "    def listed(self):\n        pass\n"
+              "    def dead(self):\n        pass\n"
+              "    def _private(self):\n        pass\n"
+              "a = A()\na.used()\nx = a.prop\nA.__dict__['listed']\n"
+              "a.dead = 1\n")
+    reads = attribute_reads(source)
+    assert [m for m in public_methods(source)
+            if m.partition(".")[2] not in reads] == ["A.dead"]
+
+
+def test_every_public_method_has_a_reader():
+    reads = set().union(*(attribute_reads(p.read_text()) for p in READERS))
+    unread = [m for p in PACKAGE.glob("*.py")
+              for m in public_methods(p.read_text())
+              if m.partition(".")[2] not in reads]
+    assert unread == []
+
+
 # exported names that no library module reads, each with the reason it
 # stays public
 UNCALLED_EXPORTS = {

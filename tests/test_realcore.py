@@ -346,6 +346,24 @@ class TestSpecker:
         assert s.term(1) == 0
         assert s.term(100) == 0
 
+    def test_enumerator_may_read_earlier_values(self):
+        s = SpeckerData(lambda k: 1 if k == 0 else s.exponent(k - 1) + 2)
+        assert finishes(lambda: s.exponent(3))
+        assert [s.exponent(k) for k in range(4)] == [1, 3, 5, 7]
+        assert s.sum_of_squares(2) == F(17, 256)
+
+    def test_negative_index_raises(self):
+        s = SpeckerData.from_prefix([1, 3, 2])
+        s.exponent(2)
+        with pytest.raises(ValueError):
+            s.exponent(-1)
+        with pytest.raises(ValueError):
+            s.term(-1)
+        with pytest.raises(ValueError):
+            s.sum_of_squares(-1)
+        with pytest.raises(ValueError):
+            s.sum_of_terms(-1)
+
 
 class TestPairing:
     def test_examples(self):
