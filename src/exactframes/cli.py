@@ -22,7 +22,9 @@ ignored; the first directive must be the version):
 with <rat> matching -?[0-9]+(/[1-9][0-9]*)?  (binary floats are rejected:
 they would silently break every certification), <combo> a space-separated
 list of <idx>:<rat> pairs (empty for the zero vector), and <kind> one of
-upper-toeplitz, column-lower, lower-toeplitz.
+upper-toeplitz, column-lower, lower-toeplitz.  parseval takes no
+arguments.  A gallery's enumerator values must be distinct: a repeated
+value is refused at its declaration.
 
 Task operations:
 
@@ -42,12 +44,16 @@ window that the inversion's residuals prove false exits 5.  A g-frame
 and a gallery construction may not share a name.
 
 Exit codes: 0 ok, 2 parse/validation error, 3 unresolved reference,
-4 precision exhaustion, 5 invariant violation.
+4 precision exhaustion, 5 invariant violation.  When the reader of the
+output leaves early, as `exactframes eval DOC | head -1` does, the rest
+of the output is dropped without a traceback and the exit code is the
+one the run would have had.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -88,15 +94,29 @@ EXIT_RESOLVE = 3
 EXIT_EXHAUSTION = 4
 EXIT_INVARIANT = 5
 
+# error class, stderr prefix and exit code of each documented failure
+_FAILURES = (
+    (SpecParseError, "parse error", EXIT_PARSE),
+    (SpecResolveError, "resolve error", EXIT_RESOLVE),
+    (PrecisionExhaustionError, "precision exhaustion", EXIT_EXHAUSTION),
+    (InvariantViolationError, "invariant violation", EXIT_INVARIANT),
+)
+
 DEFAULT_MAX_PRECISION = 64
 
-# gallery kind -> (ungated face, gated face), named in the gallery module
-# and read from it when a task runs, so a rebinding of the module's
-# functions reaches every task
+# gallery kind -> {operation: the gallery function that builds its face},
+# read from the gallery module when a task runs, so a rebinding of the
+# module's functions reaches every task; every face but apply takes the
+# declared gate, and every kind has apply and gated-apply
 _GALLERY_FACES = {
-    "upper-toeplitz": ("upper_u_operator", "gated_adjoint"),
-    "column-lower": ("column_lower_adjoint", "column_lower_operator"),
-    "lower-toeplitz": ("upper_u_operator", "gated_adjoint"),
+    "upper-toeplitz": {"apply": "upper_u_operator",
+                       "gated-apply": "gated_adjoint",
+                       "dual-apply": "gated_dual_tau"},
+    "column-lower": {"apply": "column_lower_adjoint",
+                     "gated-apply": "column_lower_operator",
+                     "frame-op": "remark_frame_operator"},
+    "lower-toeplitz": {"apply": "upper_u_operator",
+                       "gated-apply": "gated_adjoint"},
 }
 
 
@@ -131,16 +151,20 @@ def _nat(token: str, what: str) -> int:
     return int(token)
 
 
+def _integer(token: str, error: Exception) -> int:
+    """ASCII digits after an optional minus, as _nat reads them; raises
+    error on any other token."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise error
+    return int(token)
+
+
 def _int_option(token: str) -> int:
-    """An eval option's integer: ASCII digits after an optional minus,
-    as _nat reads them.  A bad token exits 2 through argparse; the range
-    checks stay with --threads and run_task."""
-    sign, digits = (-1, token[1:]) if token.startswith("-") else (1, token)
-    try:
-        return sign * _nat(digits, "option value")
-    except SpecParseError:
-        raise argparse.ArgumentTypeError(
-            f"expected ASCII decimal digits, got {token!r}") from None
+    """An eval option's integer.  A bad token exits 2 through argparse;
+    the range checks stay with --threads and run_task."""
+    return _integer(token, argparse.ArgumentTypeError(
+        f"expected ASCII decimal digits, got {token!r}"))
 
 
 def _combo_tokens(tokens: Sequence[str]) -> list[tuple[int, Fraction]]:
@@ -179,8 +203,7 @@ def load_document(text: str, max_precision: int = DEFAULT_MAX_PRECISION
                     f"line {lineno}: precision {precision} exceeds the "
                     f"configured maximum {max_precision}")
             doc.tasks.append(Task(rest[0], tuple(rest[1:-2]), precision))
-        elif head in ("space", "vector", "sumspace", "sumvec", "gframe",
-                      "gallery"):
+        elif head in _DECLARATIONS:
             doc.declarations.append((head, rest))
         else:
             raise SpecParseError(f"line {lineno}: unknown directive {head!r}")
@@ -270,45 +293,45 @@ def _declare_sumvec(reg: Registry, rest: list[str]) -> None:
     reg.sumvecs[name] = made
 
 
+def _atoms(space: SpaceDescriptor, args: list[str]) -> tuple:
+    lower, upper = _rat(args[0]), _rat(args[1])
+    tail_offset = _integer(args[2], SpecParseError(
+        f"tail-offset must be a decimal integer, got {args[2]!r}"))
+    atoms_part = args[3:]
+    if not atoms_part:
+        raise SpecParseError("atoms needs at least one '|' atom")
+    if atoms_part[0] != "|":
+        raise SpecParseError("atom list must start with '|'")
+    bars = [k for k, tok in enumerate(atoms_part) if tok == "|"]
+    prefix = [FiniteCombo(space, _combo_tokens(atoms_part[a + 1:b]))
+              for a, b in zip(bars, bars[1:] + [len(atoms_part)])]
+    return atoms_gframe(space, prefix, tail_offset, lower, upper)
+
+
+# g-frame kind -> (fewest arguments, most arguments or None, the error
+# for any other count, builder from the space and the arguments)
+_GFRAME_KINDS = {
+    "parseval": (0, 0, "parseval takes no arguments",
+                 lambda space, args: diagonal_gframe(space)),
+    "diagonal": (0, None, "", lambda space, args: diagonal_gframe(
+        space, _combo_tokens(args))),
+    "block": (1, 1, "block needs: <width>", lambda space, args: block_gframe(
+        space, _nat(args[0], "block width"))),
+    "atoms": (3, None, "atoms needs: <A> <B> <tail-offset> | ...", _atoms),
+}
+
+
 def _declare_gframe(reg: Registry, rest: list[str]) -> None:
     if len(rest) < 3:
         raise SpecParseError("gframe needs: <name> <space> <kind> ...")
     name, space_name, kind, *args = rest
     space = reg.space(space_name)
-    if kind == "parseval":
-        reg.gframes[name] = diagonal_gframe(space)
-    elif kind == "block":
-        if len(args) != 1:
-            raise SpecParseError("block needs: <width>")
-        reg.gframes[name] = block_gframe(space, _nat(args[0], "block width"))
-    elif kind == "diagonal":
-        reg.gframes[name] = diagonal_gframe(space, _combo_tokens(args))
-    elif kind == "atoms":
-        if len(args) < 3:
-            raise SpecParseError("atoms needs: <A> <B> <tail-offset> | ...")
-        lower, upper = _rat(args[0]), _rat(args[1])
-        digits = args[2].removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise SpecParseError(
-                f"tail-offset must be a decimal integer, got {args[2]!r}")
-        tail_offset = int(args[2])
-        atoms_part = args[3:]
-        prefix: list[FiniteCombo] = []
-        current: list[str] = []
-        if atoms_part and atoms_part[0] != "|":
-            raise SpecParseError("atom list must start with '|'")
-        for tok in atoms_part[1:] + ["|"]:
-            if tok == "|":
-                prefix.append(FiniteCombo(space, _combo_tokens(current)))
-                current = []
-            else:
-                current.append(tok)
-        if not atoms_part:
-            raise SpecParseError("atoms needs at least one '|' atom")
-        reg.gframes[name] = atoms_gframe(space, prefix, tail_offset,
-                                         lower, upper)
-    else:
+    if kind not in _GFRAME_KINDS:
         raise SpecParseError(f"unknown gframe kind {kind!r}")
+    fewest, most, usage, build = _GFRAME_KINDS[kind]
+    if len(args) < fewest or most is not None and len(args) > most:
+        raise SpecParseError(usage)
+    reg.gframes[name] = build(space, args)
 
 
 def _declare_gallery(reg: Registry, rest: list[str]) -> None:
@@ -341,24 +364,26 @@ def _declare_gallery(reg: Registry, rest: list[str]) -> None:
     reg.gallery[name] = (kind, specker, gate, space)
 
 
+# directive -> (its declaration, the registry tables its name must be new
+# in): each kind of name has its own table, so a space and a vector may
+# share a name and two spaces may not; g-frames and gallery constructions
+# share one namespace, since frame-op takes either
+_DECLARATIONS = {
+    "space": (_declare_space, ("spaces",)),
+    "vector": (_declare_vector, ("vectors",)),
+    "sumspace": (_declare_sumspace, ("sumspaces",)),
+    "sumvec": (_declare_sumvec, ("sumvecs",)),
+    "gframe": (_declare_gframe, ("gframes", "gallery")),
+    "gallery": (_declare_gallery, ("gframes", "gallery")),
+}
+
+
 def build_registry(doc: SpecDocument) -> Registry:
     reg = Registry()
-    # each kind of name has its own table: a space and a vector may share
-    # a name, two spaces may not; g-frames and gallery constructions share
-    # one namespace, since frame-op takes either
-    constructions = (reg.gframes, reg.gallery)
-    handlers = {
-        "space": (_declare_space, (reg.spaces,)),
-        "vector": (_declare_vector, (reg.vectors,)),
-        "sumspace": (_declare_sumspace, (reg.sumspaces,)),
-        "sumvec": (_declare_sumvec, (reg.sumvecs,)),
-        "gframe": (_declare_gframe, constructions),
-        "gallery": (_declare_gallery, constructions),
-    }
     for head, rest in doc.declarations:
-        handler, tables = handlers[head]
+        handler, tables = _DECLARATIONS[head]
         name = rest[0] if rest else ""
-        if any(name in table for table in tables):
+        if any(name in getattr(reg, table) for table in tables):
             raise SpecParseError(f"{head} {name!r} is already declared")
         try:
             handler(reg, rest)
@@ -367,83 +392,70 @@ def build_registry(doc: SpecDocument) -> Registry:
     return reg
 
 
-def _need_args(task: Task, count: int) -> None:
+def _on_gallery(reg: Registry, op: str, name: str, vector: str,
+                refusal: str = "", what: str = "gallery construction"
+                ) -> VectorName:
+    """The vector under the face of a gallery construction that
+    _GALLERY_FACES names for operation op; the construction resolves
+    before the vector, and refusal is the error of a kind without it."""
+    kind, specker, gate, space = reg._get(reg.gallery, name, what)
+    f = reg.vector(vector)
+    faces = _GALLERY_FACES[kind]
+    if op not in faces:
+        raise SpecResolveError(refusal)
+    build = getattr(gallery, faces[op])
+    if op == "apply":
+        return build(space, specker).apply(f)
+    if gate is None:
+        raise SpecResolveError(
+            f"gated operation on a {kind} construction declared without a gate")
+    face = build(space, specker, gate)
+    # the dual is a g-frame; the task applies its operator 0
+    return (face.op(0) if op == "dual-apply" else face).apply(f)
+
+
+def _frame_op(reg: Registry, name: str, vector: str) -> VectorName:
+    # the vector resolves first, then the name in either table
+    f = reg.vector(vector)
+    if name in reg.gframes:
+        return frame_operator(*reg.gframes[name]).apply(f)
+    return _on_gallery(reg, "frame-op", name, vector, "frame-op on a gallery "
+                       "object needs a column-lower construction",
+                       "g-frame or gallery construction")
+
+
+# operation -> (argument count, evaluator): the evaluator resolves the
+# task's names, a construction before its vector except in frame-op, and
+# returns a CReal or a VectorName
+_OPERATIONS = {
+    "norm": (1, lambda reg, f: vec_norm(reg.vector(f))),
+    "inner": (2, lambda reg, f, g: inner_product(reg.vector(f),
+                                                 reg.vector(g))),
+    "sum-inner": (2, lambda reg, x, y: sum_inner_product(reg.sumvec(x),
+                                                         reg.sumvec(y))),
+    "apply": (2, lambda reg, g, f: _on_gallery(reg, "apply", g, f)),
+    "gated-apply": (2, lambda reg, g, f: _on_gallery(reg, "gated-apply", g, f)),
+    "dual-apply": (2, lambda reg, g, f: _on_gallery(
+        reg, "dual-apply", g, f,
+        "dual-apply needs an upper-toeplitz construction")),
+    "frame-op": (2, _frame_op),
+    "reconstruct": (2, lambda reg, g, f: reconstruct(
+        *reg._get(reg.gframes, g, "g-frame"), reg.vector(f))),
+}
+
+
+def execute_task(reg: Registry, task: Task, precision: int) -> list[str]:
+    if task.op not in _OPERATIONS:
+        raise SpecResolveError(f"unknown operation {task.op!r}")
+    count, evaluate = _OPERATIONS[task.op]
     if len(task.args) != count:
         raise SpecResolveError(
             f"operation {task.op!r} takes {count} argument(s), "
             f"got {len(task.args)}")
-
-
-def _gallery_gate(entry) -> CReal:
-    kind, specker, gate, space = entry
-    if gate is None:
-        raise SpecResolveError(
-            f"gated operation on a {kind} construction declared without a gate")
-    return gate
-
-
-def _value_lines(value: FiniteCombo) -> list[str]:
-    return [f"value = {value.to_text()}"]
-
-
-def execute_task(reg: Registry, task: Task, precision: int) -> list[str]:
-    op = task.op
-    if op == "norm":
-        _need_args(task, 1)
-        result = vec_norm(reg.vector(task.args[0]))
-        return [f"value = {format_rational(result.approx(precision))}"]
-    if op == "inner":
-        _need_args(task, 2)
-        result = inner_product(reg.vector(task.args[0]),
-                               reg.vector(task.args[1]))
-        return [f"value = {format_rational(result.approx(precision))}"]
-    if op == "sum-inner":
-        _need_args(task, 2)
-        result = sum_inner_product(reg.sumvec(task.args[0]),
-                                   reg.sumvec(task.args[1]))
-        return [f"value = {format_rational(result.approx(precision))}"]
-    if op in ("apply", "gated-apply", "dual-apply"):
-        _need_args(task, 2)
-        entry = reg._get(reg.gallery, task.args[0], "gallery construction")
-        kind, specker, gate, space = entry
-        v = reg.vector(task.args[1])
-        ungated, gated = _GALLERY_FACES[kind]
-        if op == "apply":
-            operator = getattr(gallery, ungated)(space, specker)
-        elif op == "gated-apply":
-            operator = getattr(gallery, gated)(space, specker,
-                                               _gallery_gate(entry))
-        else:
-            if kind != "upper-toeplitz":
-                raise SpecResolveError(
-                    "dual-apply needs an upper-toeplitz construction")
-            operator = gallery.gated_dual_tau(space, specker,
-                                              _gallery_gate(entry)).op(0)
-        combo = operator.apply(v).approx(precision)
-        return _value_lines(combo)
-    if op == "frame-op":
-        _need_args(task, 2)
-        name = task.args[0]
-        v = reg.vector(task.args[1])
-        if name in reg.gframes:
-            G, norms, ao = reg.gframes[name]
-            out = frame_operator(G, norms, ao).apply(v)
-        else:
-            entry = reg._get(reg.gallery, name, "g-frame or gallery construction")
-            kind, specker, gate, space = entry
-            if kind != "column-lower":
-                raise SpecResolveError(
-                    "frame-op on a gallery object needs a column-lower construction")
-            out = gallery.remark_frame_operator(space, specker,
-                                                _gallery_gate(entry)).apply(v)
-        return _value_lines(out.approx(precision))
-    if op == "reconstruct":
-        _need_args(task, 2)
-        G, norms, ao = reg._get(reg.gframes, task.args[0], "g-frame")
-        v = reg.vector(task.args[1])
-        out = reconstruct(G, norms, ao, v)
-        return _value_lines(out.approx(precision))
-    raise SpecResolveError(f"unknown operation {task.op!r}")
+    value = evaluate(reg, *task.args)
+    answer = value.approx(precision)
+    text = format_rational(answer) if isinstance(value, CReal) else answer.to_text()
+    return [f"value = {text}"]
 
 
 def run_task(doc: SpecDocument, index: int, *,
@@ -467,13 +479,11 @@ def run_task(doc: SpecDocument, index: int, *,
                 f"maximum {max_precision}")
         precision = precision_override
     header = f"task {index} {task.op} {' '.join(task.args)}"
-    lines = [header]
-    lines.extend(execute_task(reg, task, precision))
-    lines.append(f"error <= 2^-{precision}")
-    return "\n".join(lines)
+    return "\n".join([header, *execute_task(reg, task, precision),
+                      f"error <= 2^-{precision}"])
 
 
-def _run_eval(args) -> int:
+def _run_eval(args) -> tuple[int, str]:
     if args.threads < 1:
         raise SpecParseError(f"--threads must be at least 1, got {args.threads}")
     try:
@@ -481,7 +491,7 @@ def _run_eval(args) -> int:
             text = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_PARSE, ""
     doc = load_document(text, max_precision=args.max_precision)
     reg = build_registry(doc)
     indices = range(len(doc.tasks)) if args.task is None else [args.task]
@@ -494,22 +504,15 @@ def _run_eval(args) -> int:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [(i, pool.submit(one, i)) for i in indices]
-        outcomes = []
-        for i, fut in futures:
-            outcomes.append((i, fut.exception() or fut.result()))
-        # deterministic: the lowest-index failure decides the exit
-        for i, out in outcomes:
-            if isinstance(out, BaseException):
-                raise out
-        reports = [out for _, out in outcomes]
+            futures = [pool.submit(one, i) for i in indices]
+        # in document order: the lowest-index failure decides the exit
+        reports = [fut.result() for fut in futures]
     else:
         reports = [one(i) for i in indices]
-    print("\n\n".join(reports))
-    return EXIT_OK
+    return EXIT_OK, "\n\n".join(reports) + "\n"
 
 
-def _run_suite(args) -> int:
+def _run_suite(args) -> tuple[int, str]:
     # the batteries load only for this command, so eval starts without them
     from .suites import SUITES, run_suite
 
@@ -517,11 +520,10 @@ def _run_suite(args) -> int:
         raise SpecParseError(
             f"unknown suite {args.name!r}; choose from {sorted(SUITES)}")
     results = run_suite(args.name)
-    for r in results:
-        print(r.line())
     failed = sum(1 for r in results if not r.ok)
-    print(f"suite {args.name}: {len(results) - failed}/{len(results)} passed")
-    return EXIT_OK if failed == 0 else 1
+    summary = f"suite {args.name}: {len(results) - failed}/{len(results)} passed"
+    return (EXIT_OK if failed == 0 else 1,
+            "\n".join([r.line() for r in results] + [summary, ""]))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -545,22 +547,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "eval":
-            code = _run_eval(args)
-        else:
-            code = _run_suite(args)
-    except SpecParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        code = EXIT_PARSE
-    except SpecResolveError as exc:
-        print(f"resolve error: {exc}", file=sys.stderr)
-        code = EXIT_RESOLVE
-    except PrecisionExhaustionError as exc:
-        print(f"precision exhaustion: {exc}", file=sys.stderr)
-        code = EXIT_EXHAUSTION
-    except InvariantViolationError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        code = EXIT_INVARIANT
+        code, out = (_run_eval if args.command == "eval" else _run_suite)(args)
+    except tuple(row[0] for row in _FAILURES) as exc:
+        prefix, code = next((p, c) for kind, p, c in _FAILURES
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        sys.exit(code)
+    try:
+        print(out, end="", flush=True)
+    except BrokenPipeError:
+        # the reader left early: the run's code stands, and stdout now
+        # writes to nothing, so the final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

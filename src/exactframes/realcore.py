@@ -469,8 +469,11 @@ class SpeckerData:
     no computable modulus in general, which is exactly why downstream
     constructions ask for it as an explicit oracle.
 
-    A finite prefix models truncated data: term(i) = 0 past the prefix.
-    Injectivity is enforced lazily on whatever prefix gets queried.
+    A finite prefix models truncated data: term(i) = 0 past the prefix,
+    and nothing is stored past it, so a walk far beyond the prefix costs
+    no memory.  Injectivity is enforced lazily on whatever prefix gets
+    queried, and a query past a finite prefix reads the whole prefix;
+    from_prefix checks its values at once.
     Values are computed in index order with no lock held, so an
     enumerator may read earlier values; a cached read takes no lock, and
     when two threads race for an index the first value stored wins.
@@ -489,30 +492,35 @@ class SpeckerData:
     @classmethod
     def from_prefix(cls, values: Sequence[int]) -> "SpeckerData":
         vals = list(values)
+        s = cls(vals.__getitem__, length=len(vals))
+        for k, v in enumerate(vals):
+            s._admit(v, k)
+        return s
 
-        def enum(i: int) -> Optional[int]:
-            return vals[i] if i < len(vals) else None
-
-        return cls(enum, length=len(vals))
+    def _admit(self, v: int, k: int) -> None:
+        """Record value v at index k: a natural that no other index has."""
+        if v < 0:
+            raise InvariantViolationError("enumerator values must be naturals")
+        if self._seen.setdefault(v, k) != k:
+            raise InvariantViolationError(
+                f"enumerator repeats value {v} at indices {self._seen[v]} and {k}")
 
     def exponent(self, i: int) -> Optional[int]:
         if i < 0:
             raise ValueError("index must be a natural number")
         values = self._values
+        if self.length is not None and i >= self.length:
+            if len(values) < self.length:
+                self.exponent(self.length - 1)
+            return None
         while len(values) <= i:
             k = len(values)
-            past = self.length is not None and k >= self.length
-            v = None if past else self._enumerator(k)     # no lock held
+            v = self._enumerator(k)                       # no lock held
             with self._lock:
                 if len(values) > k:
                     continue                    # another thread stored k first
                 if v is not None:
-                    if v < 0:
-                        raise InvariantViolationError("enumerator values must be naturals")
-                    if v in self._seen:
-                        raise InvariantViolationError(
-                            f"enumerator repeats value {v} at indices {self._seen[v]} and {k}")
-                    self._seen[v] = k
+                    self._admit(v, k)
                 t = self.term_from_exponent(v)
                 # the sums go in first: a reader who sees value k sees them
                 self._sq_prefix.append(self._sq_prefix[-1] + t * t)
@@ -531,11 +539,15 @@ class SpeckerData:
 
     def sum_of_squares(self, count: int) -> Fraction:
         """Exact partial sum of a_i**2 over i < count."""
+        if self.length is not None and count > self.length:
+            count = self.length             # no terms past the prefix
         if count:               # a negative count raises there
             self.exponent(count - 1)
         return self._sq_prefix[count]
 
     def sum_of_terms(self, count: int) -> Fraction:
+        if self.length is not None and count > self.length:
+            count = self.length
         if count:               # a negative count raises there
             self.exponent(count - 1)
         return self._l1_prefix[count]

@@ -2,6 +2,7 @@ import gc
 import re
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -304,6 +305,36 @@ class TestValidationMessages:
         "unreadable-document": (None, (), EXIT_PARSE,
                                 "error: [Errno 2] No such file or directory: "
                                 "'{path}'"),
+        "parseval-takes-no-arguments": (
+            _H + "gframe P H parseval 0:2 junk\n", (), EXIT_PARSE,
+            "parse error: parseval takes no arguments"),
+        # refused at its declaration, also when no task reads term 1
+        "repeated-enumerator-value": (
+            _F + "gallery UT upper-toeplitz H enum 1,1 gate 1/8\n"
+            "task apply UT f precision 10\n", (), EXIT_PARSE,
+            "parse error: gallery 'UT': enumerator repeats value 1 at "
+            "indices 0 and 1"),
+        # resolution order: with both names unknown, the construction is
+        # named, except by frame-op, which resolves its vector first
+        **{f"{op}-names-its-{first}-first": (
+            _H + f"task {op} NOPE nosuch precision 10\n", (), EXIT_RESOLVE,
+            f"resolve error: unknown {what}")
+           for op, first, what in [
+               ("apply", "construction", "gallery construction 'NOPE'"),
+               ("gated-apply", "construction", "gallery construction 'NOPE'"),
+               ("dual-apply", "construction", "gallery construction 'NOPE'"),
+               ("frame-op", "vector", "vector 'nosuch'"),
+               ("reconstruct", "construction", "g-frame 'NOPE'")]},
+        # a gallery operation resolves its vector before the kind check
+        # and the gate
+        "vector-before-kind-check": (
+            _H + "gallery LT lower-toeplitz H enum 1 gate 1/16\n"
+            "task dual-apply LT nosuch precision 10\n", (), EXIT_RESOLVE,
+            "resolve error: unknown vector 'nosuch'"),
+        "vector-before-gate": (
+            _H + "gallery NU upper-toeplitz H enum 1\n"
+            "task gated-apply NU nosuch precision 10\n", (), EXIT_RESOLVE,
+            "resolve error: unknown vector 'nosuch'"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -333,6 +364,34 @@ class TestValidationMessages:
         reports = captured.out.strip().split("\n\n")
         assert len(reports) == 5
         assert all(r.splitlines()[1] == "value = 0:1 1:-1/2" for r in reports)
+
+
+class TestGrammarTables:
+    """The grammar in the cli docstring names exactly the kinds and the
+    operations that the front end's tables hold."""
+
+    DOC = cli.__doc__
+
+    def test_gframe_kinds(self):
+        kinds = re.findall(r"^ +gframe <name> <space> (\S+)", self.DOC, re.M)
+        assert sorted(kinds) == sorted(cli._GFRAME_KINDS)
+
+    def test_gallery_kinds(self):
+        listed = re.search(r"<kind> one of\s+([^.]+)\.", self.DOC).group(1)
+        kinds = [k.strip() for k in listed.split(",")]
+        assert sorted(kinds) == sorted(cli._GALLERY_FACES)
+
+    def test_task_operations(self):
+        block = self.DOC.split("Task operations:\n\n", 1)[1].split("\n\n", 1)[0]
+        ops = [tok for tok in block.split() if not tok.startswith("<")]
+        assert sorted(ops) == sorted(cli._OPERATIONS)
+
+    def test_every_gallery_kind_has_both_faces(self):
+        # apply and gated-apply carry no refusal of their own
+        for faces in cli._GALLERY_FACES.values():
+            assert {"apply", "gated-apply"} <= set(faces)
+            assert set(faces) <= {"apply", "gated-apply", "dual-apply",
+                                  "frame-op"}
 
 
 class TestGFrameKinds:
@@ -497,6 +556,34 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == EXIT_EXHAUSTION
         assert "precision exhaustion" in proc.stderr
+
+    def test_closed_output_pipe_is_quiet(self, tmp_path):
+        # the reader is gone before the process writes, as in `| head -1`:
+        # no traceback, and the exit code of the run
+        path = tmp_path / "doc.spec"
+        path.write_text(_F + "task norm f precision 10\n" * 6)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "exactframes", "eval", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
+
+    def test_overstated_gate_exhausts_in_bounded_time(self, tmp_path):
+        # the gate claims 1 where the terms' square sum is 17/256: the
+        # cut walks to its limit of 2^80 counts, past the prefix at no cost
+        path = tmp_path / "doc.spec"
+        path.write_text(_F + "gallery T upper-toeplitz H enum 1,3 gate 1\n"
+                        "task gated-apply T f precision 64\n")
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "exactframes", "eval", str(path)],
+            capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == EXIT_EXHAUSTION
+        assert proc.stderr.startswith(
+            "precision exhaustion: norm gate: not certified within ")
 
 
 class TestGalleryFaces:

@@ -364,6 +364,26 @@ class TestSpecker:
         with pytest.raises(ValueError):
             s.sum_of_terms(-1)
 
+    def test_nothing_is_stored_past_the_prefix(self):
+        # a gate that overstates the mass walks its cut out to 2^(n+16)
+        # terms; past the prefix each count must cost no memory
+        s = SpeckerData.from_prefix([1, 3])
+        assert s.sum_of_squares(1 << 40) == F(17, 256)
+        assert s.sum_of_terms(1 << 40) == F(5, 16)
+        assert s.exponent(1 << 40) is None and s.term(1 << 40) == 0
+        assert len(s._values) == 2
+        assert len(s._sq_prefix) == len(s._l1_prefix) == 3
+
+    def test_a_prefix_is_checked_whole(self):
+        # from_prefix at once; a lazy enumerator by a read past its length
+        with pytest.raises(InvariantViolationError,
+                           match="repeats value 1 at indices 0 and 2"):
+            SpeckerData.from_prefix([1, 2, 1])
+        s = SpeckerData([1, 2, 1].__getitem__, length=3)
+        with pytest.raises(InvariantViolationError,
+                           match="repeats value 1 at indices 0 and 2"):
+            s.term(7)
+
 
 class TestPairing:
     def test_examples(self):
