@@ -415,18 +415,16 @@ def _on_gallery(reg: Registry, op: str, name: str, vector: str,
 
 
 def _frame_op(reg: Registry, name: str, vector: str) -> VectorName:
-    # the vector resolves first, then the name in either table
-    f = reg.vector(vector)
     if name in reg.gframes:
-        return frame_operator(*reg.gframes[name]).apply(f)
+        return frame_operator(*reg.gframes[name]).apply(reg.vector(vector))
     return _on_gallery(reg, "frame-op", name, vector, "frame-op on a gallery "
                        "object needs a column-lower construction",
                        "g-frame or gallery construction")
 
 
 # operation -> (argument count, evaluator): the evaluator resolves the
-# task's names, a construction before its vector except in frame-op, and
-# returns a CReal or a VectorName
+# task's names, a construction before its vector, and returns a CReal or
+# a VectorName
 _OPERATIONS = {
     "norm": (1, lambda reg, f: vec_norm(reg.vector(f))),
     "inner": (2, lambda reg, f, g: inner_product(reg.vector(f),

@@ -485,7 +485,13 @@ def frame_operator(G: GFrameName, norms: NormsOracle,
                    ao: AnalysisOracle) -> OperatorName:
     """S, the synthesis of the analysis, bounded by the upper frame bound
     (trusted as the synthesis cut trusts it): a lazy input is read at
-    linear precision, not through a cut at about 2n bits."""
+    linear precision, not through a cut at about 2n bits.
+
+    diagonal_gframe, block_gframe and atoms_gframe register, for the
+    norms and ao they return, S as the identity plus finite rank,
+    exact at every index (_identity_plus_finite_rank).  Any other
+    oracle, a caller's claimed norms included, gets the certified
+    synthesis of the analysis built here."""
     def build() -> OperatorName:
         syn = synthesis(G, norms)
         ana = analysis(G, ao)
@@ -777,11 +783,24 @@ def kernel_from_dual(G: GFrameName, D: GFrameName, norms: NormsOracle,
 # stock constructions used by the command line and the check batteries
 
 
-def _analysis_mass(pairs: Sequence[tuple[Fraction, VectorName]]
-                   ) -> AnalysisOracle:
-    """The analysis oracle f -> ||f||^2 + sum of c <f, y>^2 over the
-    finite list of (c, y) pairs: each stock g-frame's analysis mass is
-    the squared norm up to finitely many rank-one corrections."""
+def _identity_plus_finite_rank(
+        G: GFrameName, norms: NormsOracle,
+        pairs: Sequence[tuple[Fraction, VectorName]]
+        ) -> tuple[GFrameName, NormsOracle, AnalysisOracle]:
+    """A stock g-frame with its oracles, built from the finite list of
+    (c, y) pairs, y exact, for which W. Sun's S = sum of op_i* op_i is
+    I + sum of c y (x) y, as for frames near an orthonormal basis (P. G.
+    Casazza and O. Christensen, J. Approx. Theory 103, 2000).
+
+    The analysis oracle is f -> ||f||^2 + sum of c <f, y>^2.  The frame
+    operator of these (norms, ao), stored under the key frame_operator
+    reads, sends an exact v to v + sum of c <v, y> y, exact at every
+    index.  It does not read norms: they are the constructor's own,
+    computed from the atoms that give the pairs, so no claimed datum
+    goes unread; any other (norms, ao) gets the certified synthesis of
+    the analysis."""
+    combos = [(c, y.exact_combo) for c, y in pairs]
+
     def ao(f: VectorName) -> CReal:
         total = inner_product(f, f)
         if not pairs:
@@ -793,7 +812,13 @@ def _analysis_mass(pairs: Sequence[tuple[Fraction, VectorName]]
             parts.append(sq if c == 1 else creal_scale(c, sq))
         return creal_sum(parts)
 
-    return ao
+    def image(v: FiniteCombo) -> VectorName:
+        return VectorName.from_combo(_combo_sum(
+            G.dom, [(1, v)] + [(c * v.inner(y), y) for c, y in combos]))
+
+    G.derived(("frame-operator", norms, ao),
+              lambda: bounded_operator(G.dom, G.dom, G.upper, image))
+    return G, norms, ao
 
 
 def diagonal_gframe(space: SpaceDescriptor,
@@ -832,9 +857,9 @@ def diagonal_gframe(space: SpaceDescriptor,
     if uncovered:
         squares.add(Fraction(1))
     G, norms = riesz_correspondence(atom, min(squares), max(squares))
-    ao = _analysis_mass([(w * w - 1, basis_vector(space, i))
-                         for i, w in table.items() if w * w != 1])
-    return G, norms, ao
+    return _identity_plus_finite_rank(
+        G, norms, [(w * w - 1, basis_vector(space, i))
+                   for i, w in table.items() if w * w != 1])
 
 
 def block_gframe(space: SpaceDescriptor, width: int
@@ -860,7 +885,7 @@ def block_gframe(space: SpaceDescriptor, width: int
     def norms(i: int, j: int) -> CReal:
         return creal_from_rational(1 if j < width else 0)
 
-    return G, norms, _analysis_mass([])
+    return _identity_plus_finite_rank(G, norms, [])
 
 
 def atoms_gframe(space: SpaceDescriptor, prefix: Sequence[FiniteCombo],
@@ -889,7 +914,7 @@ def atoms_gframe(space: SpaceDescriptor, prefix: Sequence[FiniteCombo],
         return named[i], creal_sqrt(creal_from_rational(q))
 
     G, norms = riesz_correspondence(atom, lower, upper)
-    ao = _analysis_mass(
+    return _identity_plus_finite_rank(
+        G, norms,
         [(Fraction(-1), basis_vector(space, k)) for k in range(P + tail_offset)]
         + [(Fraction(1), y) for y in named])
-    return G, norms, ao

@@ -315,7 +315,7 @@ class TestValidationMessages:
             "parse error: gallery 'UT': enumerator repeats value 1 at "
             "indices 0 and 1"),
         # resolution order: with both names unknown, the construction is
-        # named, except by frame-op, which resolves its vector first
+        # named
         **{f"{op}-names-its-{first}-first": (
             _H + f"task {op} NOPE nosuch precision 10\n", (), EXIT_RESOLVE,
             f"resolve error: unknown {what}")
@@ -323,7 +323,8 @@ class TestValidationMessages:
                ("apply", "construction", "gallery construction 'NOPE'"),
                ("gated-apply", "construction", "gallery construction 'NOPE'"),
                ("dual-apply", "construction", "gallery construction 'NOPE'"),
-               ("frame-op", "vector", "vector 'nosuch'"),
+               ("frame-op", "construction",
+                "g-frame or gallery construction 'NOPE'"),
                ("reconstruct", "construction", "g-frame 'NOPE'")]},
         # a gallery operation resolves its vector before the kind check
         # and the gate

@@ -483,6 +483,67 @@ class TestFrameOperator:
             assert quad >= G.lower * mass - pow2(-20)
 
 
+class TestIdentityPlusFiniteRank:
+    """The stock constructors' frame operator, I plus finite rank, against
+    the certified synthesis of the analysis that every other (norms, ao)
+    gets."""
+
+    # the g-frame kinds of the command line, and an atoms frame whose S
+    # couples two coordinates
+    KINDS = {
+        "parseval": lambda H: diagonal_gframe(H),
+        "diagonal": lambda H: diagonal_gframe(H, {0: F(2), 1: F(1, 2)}),
+        "block": lambda H: block_gframe(H, 2),
+        "atoms": lambda H: atoms_gframe(H, [combo(H, {0: 1})] * 2, -1,
+                                        F(1), F(2)),
+        "atoms-coupled": lambda H: atoms_gframe(
+            H, [combo(H, {0: 1, 1: 1}), combo(H, {1: 1})], 0, F(1, 4), F(3)),
+    }
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_synthesis_of_analysis_is_the_oracle(self, H, kind):
+        # k on both sides of the 64-term exact window of the general path
+        G, norms, ao = self.KINDS[kind](H)
+        for k in (3, 63, 64, 100):
+            c = combo(H, {0: 1, k: F(3, 5)})
+            for f in (VectorName.from_combo(c), off_by_one_unit(c, k)):
+                general = synthesis(G, norms).apply(analysis(G, ao).apply(f))
+                fast = frame_operator(G, norms, ao).apply(f)
+                for n in (16, 32):
+                    d = general.approx(n).sub(fast.approx(n)).norm_squared()
+                    assert d <= pow2(-2 * n), (k, n)
+
+    @pytest.mark.parametrize("read", [
+        lambda G, norms, ao, f: frame_operator(G, norms, ao).apply(f),
+        lambda G, norms, ao, f: reconstruct(G, norms, ao, f),
+        lambda G, norms, ao, f: canonical_dual_pair(G, norms, ao)[1](f),
+    ], ids=["frame-operator", "reconstruct", "canonical-dual-mass"])
+    def test_understated_norms_claim_is_not_bypassed(self, H, redundant, read):
+        # atom 0 is e0, of norm 1, claimed as 1/2
+        G, norms, ao = redundant
+
+        def claimed(i, j):
+            return creal_from_rational(F(1, 2)) if (i, j) == (0, 0) \
+                else norms(i, j)
+
+        f = vec(H, {0: F(3, 5), 1: F(-4, 5)})
+        with pytest.raises(PrecisionExhaustionError,
+                           match="^coordinate square sum: claimed total "
+                                 "understates the data"):
+            read(G, claimed, ao, f).approx(20)
+
+    def test_foreign_analysis_oracle_takes_the_general_path(self, H, redundant):
+        G, norms, ao = redundant
+        foreign = lambda f: ao(f)
+        stock = frame_operator(G, norms, ao)
+        general = frame_operator(G, norms, foreign)
+        assert general is not stock
+        f = vec(H, {0: F(3, 5), 1: F(-4, 5), 70: F(1, 7)})
+        for n in (16, 32):
+            d = general.apply(f).approx(n).sub(stock.apply(f).approx(n))
+            assert d.norm_squared() <= pow2(-2 * n)
+
+
 class TestInversion:
     def test_identity_window(self, H):
         S = identity_operator(H)
