@@ -499,9 +499,18 @@ def frame_operator(G: GFrameName, norms: NormsOracle,
         def image(c: FiniteCombo) -> VectorName:
             return syn.apply(ana.apply(VectorName.from_combo(c)))
 
-        return bounded_operator(G.dom, G.dom, G.upper, image)
+        op = bounded_operator(G.dom, G.dom, G.upper, image)
+        return _CertifiedImages(op.dom, op.cod, op.bound, op._program)
 
     return G.derived(("frame-operator", norms, ao), build)
+
+
+class _CertifiedImages(OperatorName):
+    """The synthesis of the analysis: an exact input has an exact image
+    only where each certified cut closes on an exact prefix (64 terms
+    at most), so invert_frame_operator keeps it on relaxation."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +585,66 @@ def richardson_iterate(S: OperatorName, lower: Fraction, upper: Fraction,
     return u
 
 
+def _krylov_iterate(S: OperatorName, lower: Fraction, upper: Fraction,
+                    g: VectorName, precision: int) -> Optional[FiniteCombo]:
+    """Conjugate gradients (M. R. Hestenes and E. Stiefel, J. Res. NBS
+    49, 1952; for frames, K. Gröchenig, IEEE Trans. Signal Process.
+    41(12), 1993) on S u = g~, g~ = g.approx(p), in exact rationals.
+    Returns None, leaving the precision to richardson_iterate, at the
+    first product of S that is not exact or once the Chebyshev count of
+    steps has run without a certificate.
+
+    The residual r = g~ - S u is exact, so ||g - S u|| <= ||r|| + eps,
+    eps = 2**-p, and richardson_iterate's certificate ||r|| + eps <=
+    (3/4) lower 2**-(precision+1) stops the loop with the iterate
+    snapped to its grid.  The steps' alpha_j and beta_j define the
+    Lanczos matrix T, the exact compression of S to the Krylov space,
+    with diagonal 1/alpha_j + beta_(j-1)/alpha_(j-1) and squared
+    off-diagonal beta_j/alpha_j**2.  Every Ritz value of a true window
+    lies in [lower, upper], so T - lower I and upper I - T are positive
+    semidefinite; exact LDL^T pivots decide this as each step adds a
+    row.  A negative pivot, a zero pivot with a row after it (every
+    off-diagonal entry is nonzero, since the loop goes on only while
+    r is not zero), or <S d, d> <= 0 raises SpectralHypothesisError.
+    In exact arithmetic the loop ends within r + 1 steps on the
+    identity plus rank r."""
+    p = precision + 8 + bits_for(4 / (lower + upper) + 1) + bits_for(1 / lower)
+    u, r = FiniteCombo(S.dom, {}), g.approx(p)
+    d, rho = r, r.norm_squared()
+    # (3/4) lower 2**-(precision+1) - eps, the bound on ||r||
+    slack = 3 * lower * pow2(-(precision + 3)) - pow2(-p)
+    # Chebyshev: ||r_k|| <= 2 s**k sqrt(upper/lower) ||g~|| for s =
+    # (sqrt(B)-sqrt(A))/(sqrt(B)+sqrt(A)); ln(1/s) >= 2 sqrt(A/B) and
+    # ln 2 < 7/10, so this many steps take ||r|| below slack
+    root = ceil_sqrt_int(upper / lower)
+    steps = 7 * root * (precision + 4 + bits_for(root) + bits_for(1 / lower)
+                        + bits_for(math.isqrt(ceil_int(rho)) + 1)) // 20 + 1
+    # the last LDL^T pivots of T - lower I and upper I - T, and the last
+    # beta/alpha and beta/alpha**2 (a Fraction, so the first row is exact)
+    pivots, carry, off = (1, 1), 0, Fraction(0)
+    while rho > slack * slack:
+        q = S.apply(VectorName.from_combo(d)).exact_combo if steps else None
+        if q is None:
+            return None
+        steps -= 1
+        delta = q.inner(d)
+        diag = delta / rho + carry          # 1/alpha + the last beta/alpha
+        pivots = [e - off / last if last else -1 for e, last in
+                  zip((diag - lower, upper - diag), pivots)]
+        if delta <= 0 or min(pivots) < 0:
+            raise SpectralHypothesisError(
+                "the Lanczos matrix of the Krylov steps leaves the claimed "
+                "window; the claimed spectral window does not hold")
+        alpha = rho / delta
+        u = _combo_sum(S.dom, ((1, u), (alpha, d)))
+        r = _combo_sum(S.dom, ((1, r), (-alpha, q)))
+        beta = (fresh := r.norm_squared()) / rho
+        rho = fresh
+        d = _combo_sum(S.dom, ((1, r), (beta, d)))
+        carry, off = beta / alpha, beta / alpha / alpha
+    return u.rounded(precision + 2 + (len(u.terms).bit_length() + 1) // 2)
+
+
 def _norm_bounds(c: FiniteCombo, m: int) -> tuple[int, int]:
     """Integers low <= ||c|| 2**m <= high."""
     acc = 0                     # acc <= ||c||^2 4**m <= acc + len
@@ -588,16 +657,28 @@ def _norm_bounds(c: FiniteCombo, m: int) -> tuple[int, int]:
 def invert_frame_operator(S: OperatorName, lower: Fraction,
                           upper: Fraction) -> OperatorName:
     """Certified inverse of a self-adjoint operator with spectrum inside
-    [lower, upper], realised by relaxation iteration with an explicit
-    geometric rate.
+    [lower, upper].
 
-    The window is a claimed datum.  Every step checks that the residual
-    g - S u contracts as the window predicts and raises
-    SpectralHypothesisError when it provably does not; the iteration
-    stops once the residual certifies the answer (see
-    richardson_iterate).  A lower bound that overstates the spectrum
-    only where the residuals of g never show it stays undetectable, as
-    mass past a certified cut does.
+    Where S maps exact inputs to exact images (the stock g-frames'
+    identity plus finite rank, operator_from_columns with exact columns,
+    the identity), each precision runs conjugate gradients in exact
+    rationals (_krylov_iterate), which ends within r + 1 steps on the
+    identity plus rank r.  This is decided once, before any input is
+    read: by S applied to the zero vector, and for the synthesis of the
+    analysis (the Toeplitz g-frame, a claimed norms, user g-frames) by
+    construction, since its exact images are only those of exact
+    prefixes.  Those operators, a product that turns out lazy, and a
+    Krylov loop past its Chebyshev count run relaxation iteration with
+    an explicit geometric rate (richardson_iterate), unchanged.  Both
+    stop on one residual certificate.
+
+    The window is a claimed datum.  The Krylov loop decides it on the
+    Lanczos matrix of its steps, and relaxation checks that the residual
+    g - S u contracts as the window predicts; each raises
+    SpectralHypothesisError when the window provably fails.  A lower
+    bound that overstates the spectrum only where the Krylov space or
+    the residuals of g never show it stays undetectable, as mass past a
+    certified cut does.
 
     Every dual component and the dual's analysis mass apply the inverse
     to the same input, so the iterates are shared per input name and
@@ -609,16 +690,21 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
         raise ValueError("spectral bounds must satisfy 0 < lower <= upper")
     iterates: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
     lock = threading.Lock()
+    krylov = not isinstance(S, _CertifiedImages) and S.apply(
+        VectorName.zero(S.dom)).exact_combo is not None
 
     def program(g: VectorName) -> VectorName:
-        gbound = Fraction(g.approx(0).norm_upper() + 1)
         with lock:
             table = iterates.setdefault(g, _Memo())
 
         def iterate(n: int) -> FiniteCombo:
+            u = _krylov_iterate(S, lower, upper, g, n) if krylov else None
+            if u is not None:
+                return u
             # the residual certificate usually stops the iteration before
             # the a-priori count; the extra steps give its contraction
             # check room when the window does not hold
+            gbound = Fraction(g.approx(0).norm_upper() + 1)
             steps = _iteration_count(gbound, lower, upper, n) + 3
             return richardson_iterate(S, lower, upper, g, steps, n)
 

@@ -664,9 +664,11 @@ class TestGalleryFaces:
 class TestFalseWindows:
     """The frame atoms e0, e0, e1, e2, ... has the spectral window [1, 2].
     A claimed window that does not hold exits 5 within seconds: the
-    residual certificate of the inversion sees it.  Without it the
-    claims 5/4 2, 3/2 2, 1 5/4 and 7/4 2 exited 4 on the dual's mass cut
-    or returned a wrong value, and 2 2 and 1 3/2 ran for minutes."""
+    inversion runs conjugate gradients here, and within two steps their
+    Lanczos matrix has a Ritz value (1 or 2) outside the claim.  Before
+    any window check the claims 5/4 2, 3/2 2, 1 5/4 and 7/4 2 exited 4
+    on the dual's mass cut or returned a wrong value, and 2 2 and 1 3/2
+    ran for minutes."""
 
     SECONDS = 30
 

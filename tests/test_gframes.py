@@ -1141,6 +1141,95 @@ class TestSpectralCertificate:
         assert u.sub(want).norm_squared() <= pow2(-66)
 
 
+# the tridiagonal operator e_k -> e_k + (e_(k-1) + e_(k+1))/4 has spectrum
+# inside [1/2, 3/2] and no finite rank: the Krylov loop's one path with no
+# step bound of its own, checked against relaxation in a subprocess
+_INFINITE_RANK = """
+from fractions import Fraction as F
+from exactframes import (FiniteCombo, SpaceDescriptor, VectorName, gframes,
+                         invert_frame_operator, operator_from_columns,
+                         richardson_iterate)
+H = SpaceDescriptor()
+
+def column(k):
+    terms = {k: F(1), k + 1: F(1, 4)}
+    if k:
+        terms[k - 1] = F(1, 4)
+    return FiniteCombo(H, terms)
+
+lower, upper = F(1, 2), F(3, 2)
+S = operator_from_columns(H, H, column, upper)
+answered = []
+krylov = gframes._krylov_iterate
+gframes._krylov_iterate = lambda *args: answered.append(krylov(*args)) or answered[-1]
+g = VectorName.from_combo(FiniteCombo(H, {0: F(1), 3: F(-2, 3)}))
+inverse = invert_frame_operator(S, lower, upper).apply(g)
+for n in (16, 32, 64):
+    got = inverse.approx(n)
+    steps = gframes._iteration_count(F(2), lower, upper, n) + 3
+    want = richardson_iterate(S, lower, upper, g, steps, n)
+    assert got.sub(want).norm_squared() <= F(1, 4 ** n), n
+assert len(answered) == 3 and None not in answered, answered
+"""
+
+
+class TestKrylovInversion:
+    """Conjugate gradients where S is exact: at most r + 1 products of S
+    on the identity plus rank r, and the window decided on the Lanczos
+    matrix of the steps."""
+
+    @staticmethod
+    def _counted_inverse(H, G, norms, ao):
+        S = frame_operator(G, norms, ao)
+        inputs = []
+        counted = OperatorName(H, H, S.bound,
+                               lambda u: inputs.append(u) or S.apply(u))
+        return invert_frame_operator(counted, G.lower, G.upper), inputs
+
+    @pytest.mark.parametrize("kind", ["diagonal", "atoms"])
+    def test_rank_two_takes_at_most_three_products(self, H, kind):
+        f = {0: F(1, 3), 1: F(-2, 5), 2: F(1, 7), 3: F(1)}
+        if kind == "diagonal":
+            # S = diag(4, 1/4, 1, 1, ...)
+            frame = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
+            want = {0: F(1, 12), 1: F(-8, 5), 2: F(1, 7), 3: F(1)}
+        else:
+            # atoms e0 + e1, e1, then e2, e3, ...: S = [[1, 1], [1, 2]] + I
+            frame = atoms_gframe(H, [combo(H, {0: 1, 1: 1}), combo(H, {1: 1})],
+                                 0, F(1, 4), F(3))
+            want = {0: 2 * f[0] - f[1], 1: f[1] - f[0], 2: f[2], 3: f[3]}
+        inv, inputs = self._counted_inverse(H, *frame)
+        # exactness is probed once, on the zero vector, at construction
+        assert [u.exact_combo.is_zero() for u in inputs] == [True]
+        g = inv.apply(vec(H, f))
+        rank = 2
+        for n in (32, 64):
+            before = len(inputs)
+            got = g.approx(n)
+            assert 0 < len(inputs) - before <= rank + 1, (n, inputs[before:])
+            assert got.sub(combo(H, want)).norm_squared() <= pow2(-2 * n)
+
+    def test_ritz_values_outside_a_false_window_raise(self, H):
+        # S = diag(2, 1, 1, ...): on this f each Krylov direction has its
+        # Rayleigh quotient (28/19, 28/23) inside the claim [1, 3/2], but
+        # the Ritz values are 1 and 2
+        e0 = combo(H, {0: 1})
+        G, norms, ao = atoms_gframe(H, [e0, e0], -1, F(1), F(3, 2))
+        f = vec(H, {0: 1, 1: 1, 2: F(1, 3)})
+        with pytest.raises(SpectralHypothesisError,
+                           match="spectral window does not hold"):
+            reconstruct(G, norms, ao, f).approx(32)
+        inv = invert_frame_operator(frame_operator(G, norms, ao), G.lower,
+                                    G.upper)
+        with pytest.raises(SpectralHypothesisError):
+            inv.apply(f).approx(16)
+
+    def test_infinite_rank_agrees_with_relaxation(self):
+        proc = subprocess.run([sys.executable, "-c", _INFINITE_RANK],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestReconstructionPaths:
     """reconstruct reads S(S^-1 f); it must agree with the synthesis of
     the canonical dual's analysis, which it does not call."""
@@ -1170,6 +1259,26 @@ class TestReconstructionPaths:
                 assert gap.norm_squared() <= pow2(-2 * n), (name, n)
 
     def test_canonical_dual_iterates_at_linear_precision(self, H, monkeypatch):
+        # the stock frame operator is exact, so the Krylov loop runs
+        precisions = []
+        iterate = gframes._krylov_iterate
+
+        def recording(S, lower, upper, g, precision):
+            precisions.append(precision)
+            return iterate(S, lower, upper, g, precision)
+
+        monkeypatch.setattr(gframes, "_krylov_iterate", recording)
+        G, norms, ao = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
+        f = vec(H, {1: F(1, 3), 2: F(-2, 5)})
+        got = reconstruct(G, norms, ao, f).approx(64)
+        assert got.sub(f.exact_combo).norm_squared() <= pow2(-128)
+        # n + 1 + bits_for(4) = 67
+        assert precisions == [67]
+
+    def test_lazy_frame_operator_relaxes_at_linear_precision(self, H,
+                                                             monkeypatch):
+        # a claimed norms takes the synthesis of the analysis, whose exact
+        # images come only from exact prefixes: it always relaxes
         precisions = []
         iterate = gframes.richardson_iterate
 
@@ -1177,12 +1286,16 @@ class TestReconstructionPaths:
             precisions.append(precision)
             return iterate(S, lower, upper, g, steps, precision)
 
+        def krylov(*args):
+            raise AssertionError("the Krylov loop ran on lazy products")
+
         monkeypatch.setattr(gframes, "richardson_iterate", recording)
+        monkeypatch.setattr(gframes, "_krylov_iterate", krylov)
         G, norms, ao = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
+        claimed = lambda i, j: norms(i, j)      # equal in value, not the same
         f = vec(H, {1: F(1, 3), 2: F(-2, 5)})
-        got = reconstruct(G, norms, ao, f).approx(64)
+        got = reconstruct(G, claimed, ao, f).approx(64)
         assert got.sub(f.exact_combo).norm_squared() <= pow2(-128)
-        # n + 1 + bits_for(4) = 67
         assert precisions == [67]
 
 
