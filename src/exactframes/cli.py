@@ -162,7 +162,7 @@ def _integer(token: str, error: Exception) -> int:
 
 def _int_option(token: str) -> int:
     """An eval option's integer.  A bad token exits 2 through argparse;
-    the range checks stay with --threads and run_task."""
+    the range checks stay with run_task."""
     return _integer(token, argparse.ArgumentTypeError(
         f"expected ASCII decimal digits, got {token!r}"))
 
@@ -482,8 +482,6 @@ def run_task(doc: SpecDocument, index: int, *,
 
 
 def _run_eval(args) -> tuple[int, str]:
-    if args.threads < 1:
-        raise SpecParseError(f"--threads must be at least 1, got {args.threads}")
     try:
         with open(args.spec_file, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -493,20 +491,10 @@ def _run_eval(args) -> tuple[int, str]:
     doc = load_document(text, max_precision=args.max_precision)
     reg = build_registry(doc)
     indices = range(len(doc.tasks)) if args.task is None else [args.task]
-
-    def one(i: int) -> str:
-        return run_task(doc, i, precision_override=args.precision,
+    # in document order: the first failure decides the exit
+    reports = [run_task(doc, i, precision_override=args.precision,
                         max_precision=args.max_precision, registry=reg)
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(one, i) for i in indices]
-        # in document order: the lowest-index failure decides the exit
-        reports = [fut.result() for fut in futures]
-    else:
-        reports = [one(i) for i in indices]
+               for i in indices]
     return EXIT_OK, "\n\n".join(reports) + "\n"
 
 
@@ -538,7 +526,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="override every task's precision")
     p_eval.add_argument("--max-precision", type=_int_option,
                         default=DEFAULT_MAX_PRECISION)
-    p_eval.add_argument("--threads", type=_int_option, default=1)
 
     p_suite = sub.add_parser("suite", help="run a named check battery")
     p_suite.add_argument("name")

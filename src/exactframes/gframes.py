@@ -491,7 +491,9 @@ def frame_operator(G: GFrameName, norms: NormsOracle,
     norms and ao they return, S as the identity plus finite rank,
     exact at every index (_identity_plus_finite_rank).  Any other
     oracle, a caller's claimed norms included, gets the certified
-    synthesis of the analysis built here."""
+    synthesis of the analysis built here, whose image of an exact
+    input is exact where each certified cut closes on an exact prefix
+    (64 terms at most) and lazy otherwise."""
     def build() -> OperatorName:
         syn = synthesis(G, norms)
         ana = analysis(G, ao)
@@ -499,18 +501,9 @@ def frame_operator(G: GFrameName, norms: NormsOracle,
         def image(c: FiniteCombo) -> VectorName:
             return syn.apply(ana.apply(VectorName.from_combo(c)))
 
-        op = bounded_operator(G.dom, G.dom, G.upper, image)
-        return _CertifiedImages(op.dom, op.cod, op.bound, op._program)
+        return bounded_operator(G.dom, G.dom, G.upper, image)
 
     return G.derived(("frame-operator", norms, ao), build)
-
-
-class _CertifiedImages(OperatorName):
-    """The synthesis of the analysis: an exact input has an exact image
-    only where each certified cut closes on an exact prefix (64 terms
-    at most), so invert_frame_operator keeps it on relaxation."""
-
-    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -659,18 +652,17 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
     """Certified inverse of a self-adjoint operator with spectrum inside
     [lower, upper].
 
-    Where S maps exact inputs to exact images (the stock g-frames'
-    identity plus finite rank, operator_from_columns with exact columns,
-    the identity), each precision runs conjugate gradients in exact
-    rationals (_krylov_iterate), which ends within r + 1 steps on the
-    identity plus rank r.  This is decided once, before any input is
-    read: by S applied to the zero vector, and for the synthesis of the
-    analysis (the Toeplitz g-frame, a claimed norms, user g-frames) by
-    construction, since its exact images are only those of exact
-    prefixes.  Those operators, a product that turns out lazy, and a
-    Krylov loop past its Chebyshev count run relaxation iteration with
-    an explicit geometric rate (richardson_iterate), unchanged.  Both
-    stop on one residual certificate.
+    Each precision first runs conjugate gradients in exact rationals
+    (_krylov_iterate), which ends within r + 1 steps on the identity
+    plus rank r.  The products decide the loop: where S maps exact
+    inputs to exact images (the stock g-frames' identity plus finite
+    rank, operator_from_columns with exact columns, the synthesis of
+    the analysis where its cuts close on exact prefixes), CG runs to
+    its certificate.  At the first lazy product (the Toeplitz
+    g-frame, most user g-frames), or once the Chebyshev count of steps
+    has run, that precision runs relaxation iteration with an explicit
+    geometric rate (richardson_iterate) instead.  Both stop on one
+    residual certificate.
 
     The window is a claimed datum.  The Krylov loop decides it on the
     Lanczos matrix of its steps, and relaxation checks that the residual
@@ -690,15 +682,13 @@ def invert_frame_operator(S: OperatorName, lower: Fraction,
         raise ValueError("spectral bounds must satisfy 0 < lower <= upper")
     iterates: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
     lock = threading.Lock()
-    krylov = not isinstance(S, _CertifiedImages) and S.apply(
-        VectorName.zero(S.dom)).exact_combo is not None
 
     def program(g: VectorName) -> VectorName:
         with lock:
             table = iterates.setdefault(g, _Memo())
 
         def iterate(n: int) -> FiniteCombo:
-            u = _krylov_iterate(S, lower, upper, g, n) if krylov else None
+            u = _krylov_iterate(S, lower, upper, g, n)
             if u is not None:
                 return u
             # the residual certificate usually stops the iteration before

@@ -46,9 +46,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    num, den = q.numerator, q.denominator
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        # past CPython's int-to-str digit limit, which parsing keeps;
+        # Decimal converts an int exactly and without that limit
+        from decimal import Decimal
+        num, den = Decimal(num), Decimal(den)
+        return str(num) if den == 1 else f"{num}/{den}"
 
 
 def pow2(n: int) -> Fraction:

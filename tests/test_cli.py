@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,11 +155,13 @@ class TestExitCodes:
         "space H infinite\nvector v H 0:1\ntask norm v precision \u00b2\n",
         "space H infinite\nvector v H \u0663:1\n",
         "space H infinite\ngframe R H atoms 1 2 1_0 | 0:1\n",
+        # past the 4300 digits CPython's int() takes
+        "space H infinite\nvector v H 0:" + "1" * 5000 + "\n",
     ], ids=["zero-weight", "zero-width", "finite-block", "finite-gallery",
             "weight-out-of-range", "duplicate-weight", "repeated-sumvec-slot",
             "redeclared-space", "redeclared-vector", "gframe-and-gallery",
             "superscript-precision", "arabic-indic-index",
-            "underscore-tail-offset"])
+            "underscore-tail-offset", "literal-past-the-digit-limit"])
     def test_bad_declaration_is_a_parse_error(self, tmp_path, capsys, body):
         assert run_eval(tmp_path, "version 1\n" + body) == EXIT_PARSE
         err = capsys.readouterr().err
@@ -179,18 +182,19 @@ class TestExitCodes:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_is_a_parse_error(self, tmp_path, capsys, threads):
-        assert run_eval(tmp_path, DEMO, ["--threads", threads]) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert err.startswith("parse error: ")
-        assert "Traceback" not in err
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        # tasks run in one loop; argparse refuses the retired option
+        assert run_eval(tmp_path, DEMO, ["--threads", "2"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads 2" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_negative_precision_override_is_a_parse_error(self, tmp_path):
         assert run_eval(tmp_path, DEMO, extra=["--precision", "-3"]) == EXIT_PARSE
 
     @pytest.mark.parametrize(
-        "option", ["--task", "--precision", "--max-precision", "--threads"])
+        "option", ["--task", "--precision", "--max-precision"])
     def test_option_values_are_ascii_digits(self, tmp_path, capsys, option):
         # other scripts' digits, superscripts and underscores are refused
         # by argparse before anything runs
@@ -498,32 +502,22 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        run_eval(tmp_path, DEMO)
-        serial = capsys.readouterr().out
-        run_eval(tmp_path, DEMO, extra=["--threads", "4"])
-        threaded = capsys.readouterr().out
-        assert serial == threaded
-
     def test_single_task_selection(self, tmp_path, capsys):
         run_eval(tmp_path, DEMO, extra=["--task", "1"])
         out = capsys.readouterr().out
         assert out.startswith("task 1 inner f e0")
         assert "task 0" not in out
 
-    def test_threaded_failures_resolve_by_task_order(self, tmp_path):
+    def test_failures_resolve_by_task_order(self, tmp_path):
         # task 1 exhausts (code 4), task 2 violates an invariant (code 5):
-        # the lowest failing index must decide the exit, whatever the
-        # completion order
+        # the lowest failing index decides the exit
         text = ("version 1\nspace H infinite\nspace K infinite\n"
                 "vector e0 H 0:1\nvector k0 K 0:1\n"
                 "gallery UT upper-toeplitz H enum 1,3 gate 0\n"
                 "task norm e0 precision 10\n"
                 "task gated-apply UT e0 precision 25\n"
                 "task inner e0 k0 precision 10\n")
-        for _ in range(3):
-            assert run_eval(tmp_path, text,
-                            extra=["--threads", "3"]) == EXIT_EXHAUSTION
+        assert run_eval(tmp_path, text) == EXIT_EXHAUSTION
 
 
 class TestSubprocessEntry:
@@ -570,6 +564,26 @@ class TestSubprocessEntry:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert err == b""
+
+    def test_precision_past_the_int_digit_limit_prints(self, tmp_path):
+        # the answer's numerator and denominator have more than the 4300
+        # digits CPython's str() takes
+        path = tmp_path / "doc.spec"
+        path.write_text(_H + "vector f H 0:1 1:1\n"
+                        "task norm f precision 15000\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "exactframes", "eval", str(path),
+             "--max-precision", "20000"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[2] == "error <= 2^-15000"
+        num, den = lines[1].removeprefix("value = ").split("/")
+        # Decimal reads the digits without the limit
+        value = F(int(Decimal(num)), int(Decimal(den)))
+        eps = F(1, 1 << 15000)
+        assert (value - eps) ** 2 <= 2 <= (value + eps) ** 2
 
     def test_overstated_gate_exhausts_in_bounded_time(self, tmp_path):
         # the gate claims 1 where the terms' square sum is 17/256: the
@@ -702,10 +716,14 @@ class TestFalseWindows:
                        for k in set(got) | set(want)) <= pow2(-2 * n)
 
 
+def _command_line_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.partition("## Command line")[2]
+
+
 class TestReadme:
     def test_example_document_runs(self, tmp_path, capsys):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme[readme.index("## Command line"):]
+        section = _command_line_section()
         example = section.split("```text\n", 1)[1].split("```", 1)[0]
         assert run_eval(tmp_path, example) == 0
         precisions = [line.split()[-1] for line in example.splitlines()
@@ -713,6 +731,14 @@ class TestReadme:
         out = capsys.readouterr().out
         assert precisions
         assert re.findall(r"^error <= 2\^-(\d+)$", out, re.M) == precisions
+
+    def test_eval_synopsis_names_the_parser_options(self, capsys):
+        synopsis = re.search(r"^exactframes eval .*$", _command_line_section(),
+                             re.M)[0]
+        assert invoke(["eval", "--help"]) == 0
+        options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert "--task" in options
+        assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == options - {"--help"}
 
 
 class TestSuiteCommand:

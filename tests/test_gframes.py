@@ -56,6 +56,7 @@ from exactframes import (
     scalar_codomain,
     sum_inner_product,
     synthesis,
+    toeplitz_upper_gframe,
     upper_u_operator,
     vec_distance,
     vec_norm,
@@ -1199,8 +1200,6 @@ class TestKrylovInversion:
                                  0, F(1, 4), F(3))
             want = {0: 2 * f[0] - f[1], 1: f[1] - f[0], 2: f[2], 3: f[3]}
         inv, inputs = self._counted_inverse(H, *frame)
-        # exactness is probed once, on the zero vector, at construction
-        assert [u.exact_combo.is_zero() for u in inputs] == [True]
         g = inv.apply(vec(H, f))
         rank = 2
         for n in (32, 64):
@@ -1275,28 +1274,63 @@ class TestReconstructionPaths:
         # n + 1 + bits_for(4) = 67
         assert precisions == [67]
 
-    def test_lazy_frame_operator_relaxes_at_linear_precision(self, H,
-                                                             monkeypatch):
-        # a claimed norms takes the synthesis of the analysis, whose exact
-        # images come only from exact prefixes: it always relaxes
-        precisions = []
-        iterate = gframes.richardson_iterate
+    @staticmethod
+    def _spies(monkeypatch):
+        """The precision of each relaxation, and of each Krylov call with
+        whether it answered."""
+        relaxed, krylov = [], []
+        iterate, conjugate = gframes.richardson_iterate, gframes._krylov_iterate
 
-        def recording(S, lower, upper, g, steps, precision):
-            precisions.append(precision)
+        def relaxing(S, lower, upper, g, steps, precision):
+            relaxed.append(precision)
             return iterate(S, lower, upper, g, steps, precision)
 
-        def krylov(*args):
-            raise AssertionError("the Krylov loop ran on lazy products")
+        def answering(S, lower, upper, g, precision):
+            u = conjugate(S, lower, upper, g, precision)
+            krylov.append((precision, u is not None))
+            return u
 
-        monkeypatch.setattr(gframes, "richardson_iterate", recording)
-        monkeypatch.setattr(gframes, "_krylov_iterate", krylov)
+        monkeypatch.setattr(gframes, "richardson_iterate", relaxing)
+        monkeypatch.setattr(gframes, "_krylov_iterate", answering)
+        return relaxed, krylov
+
+    def test_lazy_frame_operator_relaxes_at_linear_precision(self, H,
+                                                             monkeypatch):
+        # the Toeplitz g-frame's S = U*U is the synthesis of the analysis,
+        # and its first product is lazy: the Krylov loop hands over
+        relaxed, krylov = self._spies(monkeypatch)
+        G, norms = toeplitz_upper_gframe(
+            H, SpeckerData.from_prefix([3, 1, 2]),
+            creal_from_rational(F(21, 256)), F(1, 4), F(4))
+
+        def ao(f):
+            image = G.op(0).apply(f)
+            return inner_product(image, image)
+
+        f = vec(H, {0: F(2, 3), 1: F(-1, 5)})
+        got = reconstruct(G, norms, ao, f).approx(5)
+        assert got.sub(f.exact_combo).norm_squared() <= pow2(-10)
+        # n + 1 + bits_for(4) = 8
+        assert relaxed == [8]
+        assert krylov == [(8, False)]
+
+    def test_claimed_norms_agree_with_the_stock_fast_path(self, H,
+                                                          monkeypatch):
+        # a claimed norms takes the synthesis of the analysis; on this
+        # input its cuts close on exact prefixes, so its products are
+        # exact and the Krylov loop runs to its certificate
+        relaxed, krylov = self._spies(monkeypatch)
         G, norms, ao = diagonal_gframe(H, {0: F(2), 1: F(1, 2)})
         claimed = lambda i, j: norms(i, j)      # equal in value, not the same
-        f = vec(H, {1: F(1, 3), 2: F(-2, 5)})
+        f = vec(H, {0: F(1, 3), 1: F(-2, 5)})
         got = reconstruct(G, claimed, ao, f).approx(64)
         assert got.sub(f.exact_combo).norm_squared() <= pow2(-128)
-        assert precisions == [67]
+        assert krylov == [(67, True)]
+        for n in (16, 32, 64):
+            gap = reconstruct(G, claimed, ao, f).approx(n).sub(
+                reconstruct(G, norms, ao, f).approx(n))
+            assert gap.norm_squared() <= pow2(-2 * n), n
+        assert relaxed == []
 
 
 _SPECKER = SpeckerData.from_prefix([1, 3])

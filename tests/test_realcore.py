@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,22 @@ class TestRationalWire:
     def test_format_roundtrip(self):
         for q in (F(7, 2), F(-3), F(0), F(-11, 13)):
             assert parse_rational(format_rational(q)) == q
+
+    def test_format_past_the_int_digit_limit(self):
+        # str() refuses integers of more than 4300 digits; the reference
+        # digits are read with the limit lifted for this test only
+        ks = (3 ** 30000, -(7 ** 9000), 10 ** 5000, 10 ** 9000 - 1)
+        den = 1 << 14999
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = [(str(k), f"{k}/{den}") for k in ks]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for k, (whole, ratio) in zip(ks, want):
+            assert format_rational(F(k)) == whole
+            if k % 2:
+                assert format_rational(F(k, den)) == ratio
 
 
 class TestHelpers:
