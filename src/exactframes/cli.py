@@ -22,9 +22,12 @@ ignored; the first directive must be the version):
 with <rat> matching -?[0-9]+(/[1-9][0-9]*)?  (binary floats are rejected:
 they would silently break every certification), <combo> a space-separated
 list of <idx>:<rat> pairs (empty for the zero vector), and <kind> one of
-upper-toeplitz, column-lower, lower-toeplitz.  parseval takes no
-arguments.  A gallery's enumerator values must be distinct: a repeated
-value is refused at its declaration.
+upper-toeplitz, column-lower, lower-toeplitz.  An index may appear only
+once in a vector, in diagonal weights and in each atom, whatever the
+coefficients: `0:5 0:0` is refused, while the atoms `| 0:1 | 0:1` are
+two combinations and stay legal.  parseval takes no arguments.  A
+gallery's enumerator values must be distinct: a repeated value is
+refused at its declaration.
 
 Task operations:
 
@@ -167,13 +170,17 @@ def _int_option(token: str) -> int:
         f"expected ASCII decimal digits, got {token!r}"))
 
 
-def _combo_tokens(tokens: Sequence[str]) -> list[tuple[int, Fraction]]:
-    out = []
+def _combo_tokens(tokens: Sequence[str]) -> dict[int, Fraction]:
+    out = {}
     for tok in tokens:
         if ":" not in tok:
             raise SpecParseError(f"expected idx:rational, got {tok!r}")
         idx, _, val = tok.partition(":")
-        out.append((_nat(idx, "basis index"), _rat(val)))
+        k = _nat(idx, "basis index")
+        if k in out:
+            # refused even beside a zero, which FiniteCombo would drop
+            raise ValueError(f"duplicate basis index {k}")
+        out[k] = _rat(val)
     return out
 
 

@@ -12,6 +12,12 @@ that gate.  All gated assemblies certify their truncations against the
 gate: an understated gate yields PrecisionExhaustionError, never a wrong
 vector.
 
+Four of the operators, U, C*, U* and C, have the form I + sum over
+k >= 1 of a_k P_k for a fixed shift pattern P_k.  Each is a shape, the
+index that e_j lands on under term k, plus an optional gate, read
+through one kernel (_shift_face); the ungated ones read a declared
+prefix once, whatever the input's index.
+
 Finitely truncated term data (SpeckerData.from_prefix) with an exact
 rational gate turns every construction here into an exact
 finite-dimensional computation, which is how the test batteries check
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .realcore import (
     CReal,
@@ -55,6 +62,50 @@ def _require_infinite(space: SpaceDescriptor) -> None:
         raise ValueError("gallery constructions act on an infinite space")
 
 
+def _shift_face(space: SpaceDescriptor, s: SpeckerData,
+                land: Callable[[int, int], Optional[int]],
+                gate: Optional[CReal] = None) -> OperatorName:
+    """I + sum over k >= 1 of a_k P_k, where P_k sends e_j to
+    e_land(j, k), or to zero where land gives None; its bound is 3.
+
+    Without a gate, land must give None whenever k > j, so the terms
+    k <= min(largest input index, s.length) are all that can land, and
+    a declared prefix is read once whatever the index.  With a gate, a
+    shape moves an input index under every term or under none, and
+    approx(n) reads the column _gated_column cuts at 2^-(n+3) for the l1
+    mass of the inputs it moves: the neglected terms then cost at most
+    sqrt(2) * 2^-(n+3) <= 2^-(n+2)."""
+    _require_infinite(space)
+
+    def shifted(c: FiniteCombo, column: list[tuple[int, Fraction]]
+                ) -> FiniteCombo:
+        out = dict(c.terms)
+        for j, q in c.terms:
+            for k, t in column:
+                if (i := land(j, k)) is not None:
+                    out[i] = out.get(i, Fraction(0)) + t * q
+        return FiniteCombo(space, out)
+
+    def image(c: FiniteCombo) -> VectorName:
+        if gate is None:
+            top = c.terms[-1][0] if c.terms else 0
+            if s.length is not None:
+                top = min(top, s.length)
+            column = [(k, t) for k in range(1, top + 1)
+                      if (t := s.term(k - 1))]
+            return VectorName.from_combo(shifted(c, column))
+
+        moved = sum(abs(q) for j, q in c.terms if land(j, 1) is not None)
+
+        def fn(n: int) -> FiniteCombo:
+            return shifted(c, _gated_column(s, gate, moved, pow2(-(n + 3)), n)
+                           if moved else [])
+
+        return VectorName(space, fn)
+
+    return bounded_operator(space, space, Fraction(3), image)
+
+
 def upper_u_operator(space: SpaceDescriptor, s: SpeckerData) -> OperatorName:
     """The upper-Toeplitz operator U itself, computable with no gate:
     row i is (0...0, 1, a_1, a_2, ...), so (Uf)_i = f_i + sum over
@@ -63,39 +114,14 @@ def upper_u_operator(space: SpaceDescriptor, s: SpeckerData) -> OperatorName:
     1 + l1(a) <= 2.  It is also the synthesis-side face of the
     lower-Toeplitz construction, whose columns are the shifted
     (1, a_1, a_2, ...)."""
-    _require_infinite(space)
-
-    def image(c: FiniteCombo) -> VectorName:
-        out = {k: q for k, q in c.terms}
-        for j, q in c.terms:
-            for i in range(j):
-                t = s.term(j - i - 1)
-                if t:
-                    out[i] = out.get(i, Fraction(0)) + t * q
-        return VectorName.from_combo(FiniteCombo(space, out))
-
-    return bounded_operator(space, space, Fraction(3), image)
+    return _shift_face(space, s, lambda j, k: j - k if k <= j else None)
 
 
 def column_lower_adjoint(space: SpaceDescriptor, s: SpeckerData) -> OperatorName:
     """C*, the adjoint of the loaded-column operator C: row 0 gathers
     the terms, every other row is the identity; exact on finite
     combinations, so it needs no gate."""
-    _require_infinite(space)
-
-    def image(c: FiniteCombo) -> VectorName:
-        out = {k: q for k, q in c.terms}
-        acc = Fraction(0)
-        for k, q in c.terms:
-            if k >= 1:
-                t = s.term(k - 1)
-                if t:
-                    acc += t * q
-        if acc:
-            out[0] = out.get(0, Fraction(0)) + acc
-        return VectorName.from_combo(FiniteCombo(space, out))
-
-    return bounded_operator(space, space, Fraction(3), image)
+    return _shift_face(space, s, lambda j, k: 0 if k == j else None)
 
 
 def _gated_column(s: SpeckerData, gate: CReal, weight: Fraction,
@@ -117,25 +143,7 @@ def gated_adjoint(space: SpaceDescriptor, s: SpeckerData,
     action whose column j is the shifted (1, a_1, a_2, ...).  Each column
     carries every term, so it is truncated against the gate, the claimed
     squared l2 mass of the terms; an understated gate fails."""
-    _require_infinite(space)
-
-    def image(c: FiniteCombo) -> VectorName:
-        def fn(n: int) -> FiniteCombo:
-            if not c.terms:
-                return FiniteCombo(space, {})
-            # column tails: l1 * sqrt(2) * 2^-(n+3) <= 2^-(n+2)
-            l1 = sum(abs(q) for _, q in c.terms)
-            column = _gated_column(s, gate, l1, pow2(-(n + 3)), n)
-            out: dict[int, Fraction] = {}
-            for j, q in c.terms:
-                out[j] = out.get(j, Fraction(0)) + q
-                for k, t in column:
-                    out[j + k] = out.get(j + k, Fraction(0)) + t * q
-            return FiniteCombo(space, out)
-
-        return VectorName(space, fn)
-
-    return bounded_operator(space, space, Fraction(3), image)
+    return _shift_face(space, s, lambda j, k: j + k, gate)
 
 
 def column_lower_operator(space: SpaceDescriptor, s: SpeckerData,
@@ -144,20 +152,7 @@ def column_lower_operator(space: SpaceDescriptor, s: SpeckerData,
     loaded column 0 = (1, a_1, a_2, ...).  That column is truncated
     against the gate, the claimed squared l2 mass of the terms; an
     understated gate fails."""
-    _require_infinite(space)
-
-    def image(c: FiniteCombo) -> VectorName:
-        def fn(n: int) -> FiniteCombo:
-            out = {k: q for k, q in c.terms}
-            c0 = c.coeff(0)
-            if c0:
-                for k, t in _gated_column(s, gate, abs(c0), pow2(-(n + 3)), n):
-                    out[k] = out.get(k, Fraction(0)) + t * c0
-            return FiniteCombo(space, out)
-
-        return VectorName(space, fn)
-
-    return bounded_operator(space, space, Fraction(3), image)
+    return _shift_face(space, s, lambda j, k: k if j == 0 else None, gate)
 
 
 def _effective_prefix(s: SpeckerData, gate: CReal, budget: Fraction,

@@ -157,11 +157,17 @@ class TestExitCodes:
         "space H infinite\ngframe R H atoms 1 2 1_0 | 0:1\n",
         # past the 4300 digits CPython's int() takes
         "space H infinite\nvector v H 0:" + "1" * 5000 + "\n",
+        # a repeated index is refused beside a zero coefficient too
+        "space H infinite\nvector v H 0:5 0:0\ntask norm v precision 10\n",
+        "space H infinite\nvector v H 0:0 0:5\ntask norm v precision 10\n",
+        "space H infinite\ngframe R H atoms 1 2 -1 | 0:1 0:0\n",
     ], ids=["zero-weight", "zero-width", "finite-block", "finite-gallery",
             "weight-out-of-range", "duplicate-weight", "repeated-sumvec-slot",
             "redeclared-space", "redeclared-vector", "gframe-and-gallery",
             "superscript-precision", "arabic-indic-index",
-            "underscore-tail-offset", "literal-past-the-digit-limit"])
+            "underscore-tail-offset", "literal-past-the-digit-limit",
+            "repeated-index-after-value", "repeated-index-after-zero",
+            "repeated-index-in-atom"])
     def test_bad_declaration_is_a_parse_error(self, tmp_path, capsys, body):
         assert run_eval(tmp_path, "version 1\n" + body) == EXIT_PARSE
         err = capsys.readouterr().err

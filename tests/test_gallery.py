@@ -26,7 +26,12 @@ from exactframes import (
     vec_norm,
 )
 from exactframes.gallery import _effective_prefix
-from exactframes.suites import _forward_substitution_inverse
+from exactframes.suites import (
+    _forward_substitution_inverse,
+    _matrix_apply,
+    _transpose,
+    _upper_matrix,
+)
 from exactframes.realcore import (
     Comparison,
     _term_limit,
@@ -394,6 +399,57 @@ class TestDualExpansionExact:
         for _, q in got.terms:
             den = q.denominator
             assert den & (den - 1) == 0 and den <= 1 << g
+
+
+def _specker(exponents, lazy):
+    """The prefix as declared data, or as an enumerator with no length
+    whose values past the prefix are None."""
+    if not lazy:
+        return SpeckerData.from_prefix(exponents)
+    return SpeckerData(lambda k: exponents[k] if k < len(exponents) else None)
+
+
+@settings(max_examples=50, deadline=None)
+@given(exponents=st.lists(st.integers(0, 12), max_size=5, unique=True),
+       lazy=st.booleans(),
+       terms=st.dictionaries(st.integers(0, 11), _rationals, max_size=4),
+       n=st.sampled_from([8, 32]))
+def test_faces_match_their_matrices(exponents, lazy, terms, n):
+    H = SpaceDescriptor()
+    s = _specker(exponents, lazy)
+    a = [SpeckerData.term_from_exponent(e) for e in exponents]
+    mass = sum((t * t for t in a), F(0))
+    # outputs lie below 12 + len(a): the matrices cut nothing off
+    upper = _upper_matrix(a, 12 + len(a))
+    # C* has row 0 = (1, a_1, a_2, ...) and the identity below
+    column_adjoint = [upper[0]] + [[F(i == j) for j in range(len(upper))]
+                                   for i in range(1, len(upper))]
+    c = combo(H, terms)
+    f = VectorName.from_combo(c)
+    for face, rows in ((upper_u_operator, upper),
+                       (column_lower_adjoint, column_adjoint)):
+        assert face(H, s).apply(f).approx(n) == _matrix_apply(rows, c, H)
+    # the l1 mass the column moves: all of the input under U*, c_0 under
+    # C; the gate is read only when it is nonzero
+    for face, rows, moved in (
+            (gated_adjoint, _transpose(upper),
+             sum(abs(q) for q in terms.values())),
+            (column_lower_operator, _transpose(column_adjoint),
+             abs(c.coeff(0)))):
+        want = _matrix_apply(rows, c, H)
+        for gate in (mass, mass / 2):
+            out = face(H, s, creal_from_rational(gate)).apply(f)
+            try:
+                got = out.approx(n)
+            except PrecisionExhaustionError:
+                assert moved and gate < mass
+                continue
+            # an understatement past four allowances of the cut,
+            # (2^-(n+3) / moved)^2, is certain to raise; a smaller one
+            # costs at most sqrt(6) 2^-(n+3), within the bound
+            if moved:
+                assert mass - gate <= 4 * (pow2(-(n + 3)) / moved) ** 2
+            assert got.sub(want).norm_squared() <= pow2(-2 * n)
 
 
 class TestRemarkFrameOperator:
