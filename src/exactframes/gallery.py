@@ -71,35 +71,40 @@ def _shift_face(space: SpaceDescriptor, s: SpeckerData,
     Without a gate, land must give None whenever k > j, so the terms
     k <= min(largest input index, s.length) are all that can land, and
     a declared prefix is read once whatever the index.  With a gate, a
-    shape moves an input index under every term or under none, and
-    approx(n) reads the column _gated_column cuts at 2^-(n+3) for the l1
-    mass of the inputs it moves: the neglected terms then cost at most
-    sqrt(2) * 2^-(n+3) <= 2^-(n+2)."""
+    shape moves an input index under every term or under none.  An input
+    with no moved index is its own image, read without the gate;
+    otherwise approx(n) reads the column _gated_column cuts at 2^-(n+3)
+    for the l1 mass of the inputs it moves: the neglected terms then
+    cost at most sqrt(2) * 2^-(n+3) <= 2^-(n+2)."""
     _require_infinite(space)
 
-    def shifted(c: FiniteCombo, column: list[tuple[int, Fraction]]
+    def shifted(c: FiniteCombo, column: list[tuple[int, int]]
                 ) -> FiniteCombo:
-        out = dict(c.terms)
-        for j, q in c.terms:
-            for k, t in column:
+        # over the input's denominator times 2**top, a term a_k = 2**-shift
+        # moves a numerator shifted left by top - shift
+        top = max((shift for _, shift in column), default=0)
+        out = {j: a << top for j, a in c._items}
+        for j, a in c._items:
+            for k, shift in column:
                 if (i := land(j, k)) is not None:
-                    out[i] = out.get(i, Fraction(0)) + t * q
-        return FiniteCombo(space, out)
+                    out[i] = out.get(i, 0) + (a << (top - shift))
+        return FiniteCombo._from_ints(space, sorted(out.items()),
+                                      c._den << top)
 
     def image(c: FiniteCombo) -> VectorName:
         if gate is None:
-            top = c.terms[-1][0] if c.terms else 0
+            top = c._items[-1][0] if c._items else 0
             if s.length is not None:
                 top = min(top, s.length)
-            column = [(k, t) for k in range(1, top + 1)
-                      if (t := s.term(k - 1))]
-            return VectorName.from_combo(shifted(c, column))
+            return VectorName.from_combo(shifted(c, _column(s, top)))
 
-        moved = sum(abs(q) for j, q in c.terms if land(j, 1) is not None)
+        moved = sum(abs(a) for j, a in c._items if land(j, 1) is not None)
+        if not moved:
+            return VectorName.from_combo(c)
+        weight = Fraction(moved, c._den)
 
         def fn(n: int) -> FiniteCombo:
-            return shifted(c, _gated_column(s, gate, moved, pow2(-(n + 3)), n)
-                           if moved else [])
+            return shifted(c, _gated_column(s, gate, weight, pow2(-(n + 3)), n))
 
         return VectorName(space, fn)
 
@@ -124,17 +129,23 @@ def column_lower_adjoint(space: SpaceDescriptor, s: SpeckerData) -> OperatorName
     return _shift_face(space, s, lambda j, k: 0 if k == j else None)
 
 
+def _column(s: SpeckerData, top: int) -> list[tuple[int, int]]:
+    """The nonzero terms a_k = 2**-shift for 1 <= k <= top, as (k, shift)."""
+    return [(k, e + 1) for k in range(1, top + 1)
+            if (e := s.exponent(k - 1)) is not None]
+
+
 def _gated_column(s: SpeckerData, gate: CReal, weight: Fraction,
-                  err: Fraction, n: int) -> list[tuple[int, Fraction]]:
-    """The nonzero (k, a_k) for 1 <= k <= K, with K certified against the
-    gate so that weight times the l2 mass of the neglected terms is at
-    most sqrt(2) * err; understated gates fail here."""
+                  err: Fraction, n: int) -> list[tuple[int, int]]:
+    """The _column up to K, with K certified against the gate so that
+    weight times the l2 mass of the neglected terms is at most sqrt(2) *
+    err; understated gates fail here."""
     theta = (err / weight) ** 2
     cut = certified_tail_cut(
         gate,
         lambda count: creal_from_rational(s.sum_of_squares(count)),
         lambda count: theta, _term_limit(n), what="norm gate")
-    return [(k, t) for k in range(1, cut + 1) if (t := s.term(k - 1))]
+    return _column(s, cut)
 
 
 def gated_adjoint(space: SpaceDescriptor, s: SpeckerData,
@@ -241,9 +252,11 @@ def gated_dual_tau(space: SpaceDescriptor, s: SpeckerData,
 
     def image(c: FiniteCombo) -> VectorName:
         def fn(n: int) -> FiniteCombo:
-            if not c.terms:
-                return FiniteCombo(space, {})
-            l1 = sum(abs(q) for _, q in c.terms)
+            if not c._items:
+                return c
+            # the input's l1 norm is l1n / den
+            den = c._den
+            l1n = sum(abs(a) for _, a in c._items)
             l2_up = Fraction(c.norm_upper())
             # neglected-terms perturbation: ||tau - tau_cut|| <= budget
             budget = pow2(-(n + 4)) / max(Fraction(1), l2_up)
@@ -263,8 +276,8 @@ def gated_dual_tau(space: SpaceDescriptor, s: SpeckerData,
             # held to (2^-(n+4) / l1)^2, compared by cross-multiplication
             H = max(abs(b) for b in bs)
             sn2, sd2 = sigma.numerator ** 2, sigma.denominator ** 2
-            mass = cut * H * H * sn2 * l1.numerator ** 2 << (2 * n + 8)
-            target = (sd2 - sn2) * l1.denominator ** 2 << (2 * w)
+            mass = cut * H * H * sn2 * l1n * l1n << (2 * n + 8)
+            target = (sd2 - sn2) * den * den << (2 * w)
             blocks = 1
             while mass > target:
                 mass *= sn2
@@ -272,25 +285,21 @@ def gated_dual_tau(space: SpaceDescriptor, s: SpeckerData,
                 blocks += 1
             depth = blocks * cut
             W = (n + 4 + bits_for(math.isqrt(depth) + 1)
-                 + bits_for(l1 * len(shifts) / (1 - sigma)))
+                 + bits_for(Fraction(l1n * len(shifts), den) / (1 - sigma)))
             bs = [1 << W]
             _extend_reciprocal(bs, shifts, depth)
-            # one common denominator L * 2**W for the whole output
-            L = math.lcm(*(q.denominator for _, q in c.terms))
+            # one common denominator den * 2**W for the whole output
             nonzero = [(m, b) for m, b in enumerate(bs) if b]
             acc: dict[int, int] = {}
-            for j, q in c.terms:
-                nj = q.numerator * (L // q.denominator)
+            for j, a in c._items:
                 for m, b in nonzero:
-                    acc[j + m] = acc.get(j + m, 0) + b * nj
-            den = L << W
+                    acc[j + m] = acc.get(j + m, 0) + b * a
+            den <<= W
             half = den >> 1
             g = n + 3 + bits_for(math.isqrt(len(acc)) + 1)
-            out = {}
-            for k, v in acc.items():
-                if r := ((v << g) + half) // den:
-                    out[k] = Fraction(r, 1 << g)
-            return FiniteCombo(space, out)
+            return FiniteCombo._from_ints(
+                space, [(k, ((v << g) + half) // den)
+                        for k, v in sorted(acc.items())], 1 << g)
 
         return VectorName(space, fn)
 
@@ -339,23 +348,27 @@ def remark_frame_operator(space: SpaceDescriptor, s: SpeckerData,
 
     def image(c: FiniteCombo) -> VectorName:
         def fn(n: int) -> FiniteCombo:
-            out = {k: q for k, q in c.terms if k >= 1}
-            c0 = c.coeff(0)
-            cross = Fraction(0)
-            for k, q in c.terms:
-                if k >= 1:
-                    t = s.term(k - 1)
-                    if t:
-                        cross += t * q
-            head = creal_add(creal_scale(c0, gate),
-                             creal_from_rational(c0 - cross))
-            h = dyadic_round(head.approx(n + 3), n + 3)
-            if h:
-                out[0] = h
-            if c0:
-                for k, t in _gated_column(s, gate, abs(c0), pow2(-(n + 4)), n):
-                    out[k] = out.get(k, Fraction(0)) - t * c0
-            return FiniteCombo(space, out)
+            items, den = c._items, c._den
+            c0n = items[0][1] if items and items[0][0] == 0 else 0
+            # sum of a_k f_k over k >= 1, as cross / (den * 2**top)
+            moved = [(a, e + 1) for k, a in items
+                     if k >= 1 and (e := s.exponent(k - 1)) is not None]
+            top = max((shift for _, shift in moved), default=0)
+            cross = sum(a << (top - shift) for a, shift in moved)
+            c0 = Fraction(c0n, den)
+            head = creal_add(creal_scale(c0, gate), creal_from_rational(
+                Fraction((c0n << top) - cross, den << top)))
+            hn, hd = dyadic_round(head.approx(n + 3), n + 3).as_integer_ratio()
+            column = (_gated_column(s, gate, abs(c0), pow2(-(n + 4)), n)
+                      if c0n else [])
+            # one denominator for f_i, the head and the column a_k f_0
+            full = math.lcm(den << max((t for _, t in column), default=0), hd)
+            f = full // den
+            out = {k: a * f for k, a in items if k >= 1}
+            out[0] = hn * (full // hd)
+            for k, shift in column:
+                out[k] = out.get(k, 0) - (c0n * f >> shift)
+            return FiniteCombo._from_ints(space, sorted(out.items()), full)
 
         return VectorName(space, fn)
 

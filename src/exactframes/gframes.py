@@ -569,10 +569,10 @@ def richardson_iterate(S: OperatorName, lower: Fraction, upper: Fraction,
         # (3/4) lower 2**-(precision+1) in units
         target = (3 * lower.numerator << (p - precision + 1)) // lower.denominator
         if high + 32 <= target:
-            grid = precision + 2 + (len(u.terms).bit_length() + 1) // 2
+            grid = precision + 2 + (len(u._items).bit_length() + 1) // 2
             return u.rounded(grid)
         u = _combo_sum(S.dom, ((1, u), (omega, r)))
-        grid = p + (len(u.terms).bit_length() + 1) // 2 + 1
+        grid = p + (len(u._items).bit_length() + 1) // 2 + 1
         u = u.rounded(grid)     # snap error <= 2**-(p+2)
         allowed = ceil_int(rho * (high + 32)) + drift + 64
     return u
@@ -635,16 +635,14 @@ def _krylov_iterate(S: OperatorName, lower: Fraction, upper: Fraction,
         rho = fresh
         d = _combo_sum(S.dom, ((1, r), (beta, d)))
         carry, off = beta / alpha, beta / alpha / alpha
-    return u.rounded(precision + 2 + (len(u.terms).bit_length() + 1) // 2)
+    return u.rounded(precision + 2 + (len(u._items).bit_length() + 1) // 2)
 
 
 def _norm_bounds(c: FiniteCombo, m: int) -> tuple[int, int]:
     """Integers low <= ||c|| 2**m <= high."""
-    acc = 0                     # acc <= ||c||^2 4**m <= acc + len
-    for _, q in c.terms:
-        num, den = q.numerator, q.denominator
-        acc += (num * num << 2 * m) // (den * den)
-    return math.isqrt(acc), math.isqrt(acc + len(c.terms)) + 1
+    den2 = c._den * c._den      # acc <= ||c||^2 4**m <= acc + len
+    acc = sum((a * a << 2 * m) // den2 for _, a in c._items)
+    return math.isqrt(acc), math.isqrt(acc + len(c._items)) + 1
 
 
 def invert_frame_operator(S: OperatorName, lower: Fraction,

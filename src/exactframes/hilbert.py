@@ -5,7 +5,10 @@ VectorName: an oracle producing, for each precision n, a finite rational
 combination of basis vectors within 2**-n of the point in norm.
 Finite combinations are the exact layer: inner products and squared
 norms of combinations are plain rationals, which is what makes every
-certificate in this library decidable.
+certificate in this library decidable.  A FiniteCombo holds integer
+numerators over one common denominator, so its sums, scalings, inner
+products and roundings are integer arithmetic with one gcd per result;
+Fractions are built only where a coefficient or a result is handed out.
 
 Bounded functionals carry their operator norm as explicit extra data.
 That datum is genuinely extra: the representer assembly below has no way
@@ -30,6 +33,8 @@ from .realcore import (
     PrefixSums,
     _Memo,
     _exact_prefix_count,
+    _format_ratio,
+    _round_half_even,
     _term_limit,
     bits_for,
     ceil_int,
@@ -38,7 +43,6 @@ from .realcore import (
     creal_mul,
     creal_sqrt,
     dyadic_round,
-    format_rational,
     pow2,
 )
 
@@ -96,10 +100,18 @@ def _require_same_space(a: SpaceDescriptor, b: SpaceDescriptor) -> None:
 
 
 class FiniteCombo:
-    """A finite rational combination of basis vectors, in canonical form:
-    terms sorted by index, zero coefficients dropped."""
+    """A finite rational combination of basis vectors, held as integers
+    over one common denominator: _items holds the (index, numerator)
+    pairs sorted by index, zero numerators dropped, over the positive
+    _den, and no factor is common to _den and every numerator.  Equal
+    combinations therefore have equal fields.
 
-    __slots__ = ("space", "terms")
+    The constructor takes (index, rational) data; .terms builds the
+    (index, Fraction) pairs only when read.  Sums, scaling, inner
+    products, squared norms and rounding run on the integers and reduce
+    once per result, so a term costs no gcd of its own."""
+
+    __slots__ = ("space", "_items", "_den")
 
     def __init__(self, space: SpaceDescriptor,
                  terms: Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]):
@@ -110,7 +122,7 @@ class FiniteCombo:
         else:
             items = terms
         dim = space.dimension
-        cleaned: dict[int, Fraction] = {}
+        cleaned: dict[int, tuple[int, int]] = {}
         for k, q in items:
             if not (type(k) is int and 0 <= k and (dim is None or k < dim)):
                 space.check_index(k)
@@ -119,22 +131,49 @@ class FiniteCombo:
             if q:
                 if k in cleaned:
                     raise ValueError(f"duplicate basis index {k}")
-                cleaned[k] = q
+                cleaned[k] = q.as_integer_ratio()
+        # over the lcm of reduced denominators, the numerators share no
+        # factor with it: a prime's highest power divides one term's own
+        den = math.lcm(*(d for _, d in cleaned.values()))
         self.space = space
-        self.terms = tuple(sorted(cleaned.items()))
+        self._items = tuple((k, a * (den // d))
+                            for k, (a, d) in sorted(cleaned.items()))
+        self._den = den
+
+    @classmethod
+    def _from_ints(cls, space: SpaceDescriptor,
+                   items: Iterable[tuple[int, int]], den: int) -> "FiniteCombo":
+        """The combination with the given (index, numerator) pairs, sorted
+        by index and in range, over den > 0, reduced by one gcd."""
+        items = [(k, a) for k, a in items if a]
+        g = math.gcd(den, *(a for _, a in items))
+        if g > 1:
+            items = [(k, a // g) for k, a in items]
+            den //= g
+        self = cls.__new__(cls)
+        self.space = space
+        self._items = tuple(items)
+        self._den = den
+        return self
+
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """The (index, coefficient) pairs, sorted by index."""
+        den = self._den
+        return tuple((k, Fraction(a, den)) for k, a in self._items)
 
     def coeff(self, k: int) -> Fraction:
-        for i, q in self.terms:
+        for i, a in self._items:
             if i == k:
-                return q
+                return Fraction(a, self._den)
         return Fraction(0)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.terms)
+        return tuple(i for i, _ in self._items)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._items
 
     def add(self, other: "FiniteCombo") -> "FiniteCombo":
         """self + other, added by the one accumulator (_combo_sum)."""
@@ -144,50 +183,63 @@ class FiniteCombo:
         return _combo_sum(self.space, ((1, self), (-1, other)))
 
     def scale(self, q: Fraction) -> "FiniteCombo":
-        q = Fraction(q)
-        if not q:
-            return FiniteCombo(self.space, {})
-        return FiniteCombo(self.space, {k: c * q for k, c in self.terms})
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        qn, qd = q.as_integer_ratio()
+        return FiniteCombo._from_ints(
+            self.space, [(k, a * qn) for k, a in self._items], self._den * qd)
 
     def inner(self, other: "FiniteCombo") -> Fraction:
         """Exact inner product against the declared orthonormal basis."""
         _require_same_space(self.space, other.space)
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
-        table = dict(other.terms)
-        total = Fraction(0)
-        for k, q in self.terms:
-            c = table.get(k)
-            if c is not None:
-                total += q * c
-        return total
+        mine, theirs = self._items, other._items
+        if len(mine) > len(theirs):
+            mine, theirs = theirs, mine
+        table = dict(theirs)
+        total = 0
+        for k, a in mine:
+            b = table.get(k)
+            if b is not None:
+                total += a * b
+        return Fraction(total, self._den * other._den)
+
+    def _square_sum(self) -> int:
+        """The squared norm times _den**2."""
+        return sum(a * a for _, a in self._items)
 
     def norm_squared(self) -> Fraction:
-        """Exact, as integers over one common denominator: one gcd in all
-        rather than one per term."""
-        L = math.lcm(*(q.denominator for _, q in self.terms))
-        total = sum((q.numerator * (L // q.denominator)) ** 2
-                    for _, q in self.terms)
-        return Fraction(total, L * L)
+        return Fraction(self._square_sum(), self._den * self._den)
 
     def norm_upper(self) -> int:
         """An integer upper bound on the norm."""
-        return math.isqrt(ceil_int(self.norm_squared())) + 1
+        den = self._den
+        return math.isqrt(-(-self._square_sum() // (den * den))) + 1
 
     def rounded(self, n: int) -> "FiniteCombo":
-        """Coefficients snapped to the 2**-n grid; norm error is at most
-        sqrt(len) * 2**-(n+1)."""
-        return FiniteCombo(self.space, {k: dyadic_round(q, n) for k, q in self.terms})
+        """Coefficients snapped to the 2**-n grid (ties to even, as
+        dyadic_round); norm error is at most sqrt(len) * 2**-(n+1)."""
+        if n < 0:
+            raise ValueError("grid exponent must be nonnegative")
+        den = self._den
+        return FiniteCombo._from_ints(
+            self.space, [(k, _round_half_even(a << n, den))
+                         for k, a in self._items], 1 << n)
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self._items:
             return "0"
-        return " ".join(f"{k}:{format_rational(q)}" for k, q in self.terms)
+        den = self._den
+        parts = []
+        for k, a in self._items:
+            g = math.gcd(a, den)
+            parts.append(f"{k}:{_format_ratio(a // g, den // g)}")
+        return " ".join(parts)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FiniteCombo)
                 and same_space(self.space, other.space)
-                and self.terms == other.terms)
+                and self._den == other._den
+                and self._items == other._items)
 
     def __hash__(self) -> int:
         return hash((self.space.ident, self.terms))
@@ -257,20 +309,27 @@ def _combo_sum(space: SpaceDescriptor,
     """The sum of c * combo over the pairs, added into one table: every
     sum of combinations in this library is this one.  Each combination
     must lie in space; exact sums are order-free, so the result has the
-    rationals of chained scale and add."""
-    acc: dict[int, Fraction] = {}
+    rationals of chained scale and add.  The numerators are added over
+    the lcm of the scaled denominators and reduced once."""
+    scaled = []                 # (numerator of c, denominator, items)
     for c, combo in pairs:
         _require_same_space(combo.space, space)
-        if not c:
-            continue
-        terms = combo.terms if c == 1 else [(k, c * q) for k, q in combo.terms]
+        if c and combo._items:
+            cn, cd = c.as_integer_ratio()
+            scaled.append((cn, cd * combo._den, combo._items))
+    if not scaled:
+        return FiniteCombo(space, {})
+    den = math.lcm(*(d for _, d, _ in scaled))
+    acc: dict[int, int] = {}
+    for cn, d, items in scaled:
+        f = cn * (den // d)
         if not acc:
-            acc.update(terms)
+            acc = {k: a * f for k, a in items}
             continue
-        for k, q in terms:
-            old = acc.get(k)
-            acc[k] = q if old is None else old + q
-    return FiniteCombo(space, acc)
+        for k, a in items:
+            acc[k] = acc.get(k, 0) + a * f
+    out = acc.items() if len(scaled) == 1 else sorted(acc.items())
+    return FiniteCombo._from_ints(space, out, den)
 
 
 Coefficient = Union[Fraction, CReal]

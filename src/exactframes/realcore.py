@@ -7,8 +7,11 @@ advertises; nothing rounds without accounting for it.  Equality of reals
 is undecidable, so the only comparison offered is the soft three-way
 creal_compare.
 
-Rationals are plain fractions.Fraction values (always normalised, with a
-positive denominator) and serialise as "num/den" decimal strings.
+Rationals cross every interface as fractions.Fraction values (always
+normalised, with a positive denominator) and serialise as "num/den"
+decimal strings.  Inside, the hot helpers work on the integer numerator
+and denominator: dyadic_round, creal_sqrt's root and certified_tail_cut's
+verdicts on exact operands build no Fraction but their result.
 Precision parameters are decimal naturals n meaning an error bound of
 2**-n.
 """
@@ -46,7 +49,11 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    num, den = q.numerator, q.denominator
+    return _format_ratio(*q.as_integer_ratio())
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """The wire format of num / den, given in lowest terms, den > 0."""
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
@@ -64,6 +71,15 @@ def pow2(n: int) -> Fraction:
     return Fraction(1, 1 << (-n))
 
 
+def _round_half_even(num: int, den: int) -> int:
+    """The integer nearest num / den, den > 0, ties to even."""
+    floor, rem = divmod(num, den)
+    twice = 2 * rem
+    if twice > den or (twice == den and floor & 1):
+        floor += 1
+    return floor
+
+
 def dyadic_round(q: Fraction, n: int) -> Fraction:
     """Nearest multiple of 2**-n (ties to even); error at most 2**-(n+1).
 
@@ -72,7 +88,8 @@ def dyadic_round(q: Fraction, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("grid exponent must be nonnegative")
-    return Fraction(round(q * (1 << n)), 1 << n)
+    num, den = q.as_integer_ratio()
+    return Fraction(_round_half_even(num << n, den), 1 << n)
 
 
 def ceil_int(q: Fraction) -> int:
@@ -88,10 +105,12 @@ def bits_for(q: Fraction) -> int:
 
 
 def prec_for(threshold: Fraction) -> int:
-    """Smallest p >= 0 with 2**-p <= threshold (threshold > 0)."""
-    if threshold <= 0:
+    """Smallest p >= 0 with 2**-p <= threshold (threshold > 0): the
+    smallest p with 2**p >= den / num, in integers."""
+    num, den = threshold.as_integer_ratio()
+    if num <= 0:
         raise ValueError("threshold must be positive")
-    return bits_for(Fraction(threshold.denominator, threshold.numerator))
+    return ((den - 1) // num).bit_length()
 
 
 class CReal:
@@ -231,30 +250,21 @@ def creal_mul(x: CReal, y: CReal) -> CReal:
     return CReal(fn)
 
 
-def rational_sqrt_floor(q: Fraction, n: int) -> Fraction:
-    """Lower endpoint of a certified 2**-n enclosure of sqrt(q), q >= 0.
-
-    sqrt(p/r) = sqrt(p*r)/r, so the integer square root of p*r*4**n
-    brackets the value on the grid with denominator r*2**n.
-    """
-    if q < 0:
-        raise ValueError("negative input")
-    root = math.isqrt(q.numerator * q.denominator << (2 * n))
-    return Fraction(root, q.denominator << n)
-
-
 def creal_sqrt(x: CReal) -> CReal:
     def fn(n: int) -> Fraction:
         m = 2 * n + 4
         q = x.approx(m)
-        if q < -pow2(-m):
-            raise NegativeInputError(
-                f"square root of a provably negative value (approx(2n+4) = {q})")
-        if q < 0:
-            q = Fraction(0)
-        # |sqrt(q)-sqrt(x)| <= sqrt(|q-x|) <= 2^-(n+2); enclosure adds 2^-(n+2)
-        lo = rational_sqrt_floor(q, n + 2)
-        return dyadic_round(lo, n + 2)
+        num, den = q.as_integer_ratio()
+        if num < 0:
+            if -num << m > den:
+                raise NegativeInputError(
+                    f"square root of a provably negative value (approx(2n+4) = {q})")
+            num = 0
+        # |sqrt(q)-sqrt(x)| <= sqrt(|q-x|) <= 2^-(n+2).  sqrt(num/den) =
+        # sqrt(num*den)/den, so root / (den 2^(n+2)) is the lower end of a
+        # 2^-(n+2) enclosure of sqrt(q); it is rounded to the 2^-(n+2) grid
+        root = math.isqrt(num * den << (2 * n + 4))
+        return Fraction(_round_half_even(root, den), 1 << (n + 2))
 
     return CReal(fn)
 
@@ -418,7 +428,16 @@ def certified_tail_cut(total: CReal, partial_at: Callable[[int], CReal],
     search raises PrecisionExhaustionError instead of ever returning a
     cut that would silence real mass.  A count past `limit` is never
     tried: the search raises instead.  Both messages start with what.
+
+    When the total and a partial are both exact, the two verdicts are
+    creal_compare's, decided on the exact residual r = total - partial
+    by integer cross-multiplication: r - allowance > 2**-(p+1) goes on,
+    and r + allowance < -2**-(p+1) raises.  Lazy operands go through
+    creal_compare.
     """
+    exact = total.exact_value
+    if exact is not None:
+        tn, td = exact.as_integer_ratio()
     count = 4
     while True:
         if count > limit:
@@ -426,11 +445,26 @@ def certified_tail_cut(total: CReal, partial_at: Callable[[int], CReal],
                 f"{what}: not certified within {limit} terms")
         allowance = theta(count)
         p = prec_for(allowance)
-        t = creal_sub(total, partial_at(count))
-        if creal_compare(t, creal_from_rational(allowance),
-                         p) is not Comparison.GREATER_CERTAIN:
-            if creal_compare(t, creal_from_rational(-allowance),
-                             p) is Comparison.LESS_CERTAIN:
+        partial = partial_at(count)
+        s = partial.exact_value
+        if exact is not None and s is not None:
+            # over the denominator sd td ad 2**(p+1): the residual is x,
+            # the allowance y and the margin 2**-(p+1) is m
+            sn, sd = s.as_integer_ratio()
+            an, ad = allowance.as_integer_ratio()
+            x = (tn * sd - sn * td) * ad << (p + 1)
+            y = an * sd * td << (p + 1)
+            m = sd * td * ad
+            above, below = x - y > m, x + y < -m
+        else:
+            t = creal_sub(total, partial)
+            above = creal_compare(t, creal_from_rational(allowance),
+                                  p) is Comparison.GREATER_CERTAIN
+            below = not above and creal_compare(
+                t, creal_from_rational(-allowance),
+                p) is Comparison.LESS_CERTAIN
+        if not above:
+            if below:
                 raise PrecisionExhaustionError(
                     f"{what}: claimed total understates the data "
                     f"(certificate provably negative by index {count})")

@@ -452,6 +452,25 @@ def test_faces_match_their_matrices(exponents, lazy, terms, n):
             assert got.sub(want).norm_squared() <= pow2(-2 * n)
 
 
+@pytest.mark.parametrize("n", [8, 32])
+def test_gated_cut_is_weighted_by_the_l1_mass_moved(n):
+    # 32 unit coefficients at consecutive indices, four head terms and a
+    # tail of eight terms 2^-(n+3), 2^-(n+4), ... whose squared mass
+    # (4/3) 4^-(n+3) lies within the allowance the cut would certify if
+    # it weighed the input by its largest coefficient: a cut at 4 terms
+    # then leaves shifted copies of the input that stack to about 1.4 *
+    # 2^-n.  Weighed by the l1 mass, 32, the cut keeps the whole tail
+    H = SpaceDescriptor()
+    exponents = [0, 1, 2, 3] + list(range(n + 2, n + 10))
+    s = SpeckerData.from_prefix(exponents)
+    a = [SpeckerData.term_from_exponent(e) for e in exponents]
+    c = combo(H, {j: 1 for j in range(32)})
+    gate = creal_from_rational(sum((t * t for t in a), F(0)))
+    got = gated_adjoint(H, s, gate).apply(VectorName.from_combo(c)).approx(n)
+    want = _matrix_apply(_transpose(_upper_matrix(a, 34 + len(a))), c, H)
+    assert got.sub(want).norm_squared() <= pow2(-2 * n)
+
+
 class TestRemarkFrameOperator:
     def test_empty_terms_identity(self, H, empty):
         s, gate = empty

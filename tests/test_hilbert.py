@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 from types import MappingProxyType
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,8 +27,12 @@ from exactframes import (
     vec_norm,
     vector_from_coefficients,
 )
-from exactframes.hilbert import _coordinate
-from exactframes.realcore import bits_for, ceil_int, pow2
+from exactframes import realcore
+from exactframes.errors import NegativeInputError
+from exactframes.hilbert import _combo_sum, _coordinate
+from exactframes.realcore import (Comparison, bits_for, ceil_int,
+                                  certified_tail_cut, creal_compare, creal_sub,
+                                  dyadic_round, pow2, prec_for)
 
 from conftest import (adversarial_leaves, assert_same_outcomes, claimed_total,
                       claims, combo, exact_prefixes, off_by_one_unit,
@@ -505,3 +511,208 @@ class TestExactClosure:
         v = vec(H, {2: 5})
         assert v._memo is None
         assert v.approx(30) is v.exact_combo
+
+
+# ---------------------------------------------------------------------------
+# the integer form against plain Fractions: a combination is held as
+# integer numerators over one common denominator, and every operation
+# below must give, term for term, what Fraction arithmetic gives
+
+_fractions = st.fractions(-20, 20, max_denominator=48)
+_fraction_terms = st.dictionaries(st.integers(0, 7), _fractions, max_size=6)
+
+
+def _ref(terms):
+    """The canonical (index, Fraction) pairs of a dict of rationals."""
+    return tuple(sorted((k, F(q)) for k, q in terms.items() if q))
+
+
+def _ref_sum(pairs):
+    acc = {}
+    for c, terms in pairs:
+        for k, q in terms.items():
+            acc[k] = acc.get(k, F(0)) + c * q
+    return _ref(acc)
+
+
+def _ref_text(ref):
+    return " ".join(f"{k}:{q.numerator}" if q.denominator == 1
+                    else f"{k}:{q.numerator}/{q.denominator}" for k, q in ref)
+
+
+def _assert_canonical(c):
+    nums = [a for _, a in c._items]
+    assert c._den > 0 and all(nums)
+    assert [k for k, _ in c._items] == sorted({k for k, _ in c._items})
+    assert math.gcd(c._den, *nums) == 1
+
+
+class TestIntegerForm:
+    @settings(max_examples=120, deadline=None)
+    @given(x=_fraction_terms, y=_fraction_terms, q=_fractions,
+           n=st.integers(0, 12))
+    @example(x={0: F(1, 2), 3: F(3, 2), 5: F(-5, 8)}, y={}, q=F(0), n=0)
+    def test_every_operation_matches_fractions(self, x, y, q, n):
+        H = SpaceDescriptor()
+        a, b = FiniteCombo(H, x), FiniteCombo(H, y)
+        rx, ry = _ref(x), _ref(y)
+        assert a.terms == rx and all(type(v) is F for _, v in a.terms)
+        results = [a.add(b), a.sub(b), a.scale(q), a.rounded(n)]
+        wants = [_ref_sum([(1, x), (1, y)]), _ref_sum([(1, x), (-1, y)]),
+                 _ref_sum([(q, x)]),
+                 _ref({k: F(round(v * 2 ** n), 2 ** n) for k, v in rx})]
+        for got, want in zip(results, wants):
+            _assert_canonical(got)
+            assert got.terms == want
+        dx, dy = dict(rx), dict(ry)
+        assert a.inner(b) == sum((v * dy[k] for k, v in rx if k in dy), F(0))
+        square = sum((v * v for _, v in rx), F(0))
+        assert a.norm_squared() == square
+        assert a.norm_upper() == math.isqrt(math.ceil(square)) + 1
+        assert [a.coeff(k) for k in range(9)] == [dx.get(k, F(0))
+                                                  for k in range(9)]
+        assert a.to_text() == (_ref_text(rx) or "0")
+        assert (a == b) == (rx == ry)
+        assert a == FiniteCombo(H, dict(rx))
+        assert hash(a) == hash((H.ident, rx))
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=st.lists(st.tuples(_fractions, _fraction_terms),
+                          min_size=1, max_size=5))
+    def test_combo_sum_with_cancellation_matches_fractions(self, drawn):
+        H = SpaceDescriptor()
+        # the first pair again with its coefficient negated cancels it
+        drawn = drawn + [(-drawn[0][0], drawn[0][1])]
+        got = _combo_sum(H, [(c, FiniteCombo(H, t)) for c, t in drawn])
+        _assert_canonical(got)
+        assert got.terms == _ref_sum(drawn)
+        assert got == _combo_sum(H, [(c, FiniteCombo(H, t))
+                                     for c, t in drawn[1:-1]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.fractions(-64, 64, max_denominator=1 << 20),
+           n=st.integers(0, 40))
+    @example(q=F(1, 2), n=0)       # ties go to the even neighbour
+    @example(q=F(3, 2), n=0)
+    @example(q=F(-5, 8), n=2)
+    def test_dyadic_round_matches_fraction_round(self, q, n):
+        assert dyadic_round(q, n) == F(round(q * 2 ** n), 2 ** n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.fractions(0, 64, max_denominator=1 << 20),
+           n=st.integers(0, 40))
+    @example(q=F(1, 2), n=0)       # root 5 over 2: a tie
+    def test_creal_sqrt_matches_root_then_round(self, q, n):
+        # the former composition: the integer root as the lower end of a
+        # 2^-(n+2) enclosure, then dyadic_round to the same grid
+        root = math.isqrt(q.numerator * q.denominator << (2 * (n + 2)))
+        lo = F(root, q.denominator << (n + 2))
+        want = F(round(lo * 2 ** (n + 2)), 2 ** (n + 2))
+        assert creal_sqrt(creal_from_rational(q)).approx(n) == want
+        # a value read within 2^-(2n+4) below zero is the root of zero
+        near = CReal(lambda m: -q * pow2(-m) / 65)
+        assert creal_sqrt(near).approx(n) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.fractions(0, 64, max_denominator=1 << 40).filter(bool))
+    @example(t=F(1, 4))
+    @example(t=F(1))
+    @example(t=F(5, 16))
+    def test_prec_for_is_the_smallest_precision_within(self, t):
+        p = prec_for(t)
+        assert pow2(-p) <= t and (p == 0 or pow2(-(p - 1)) > t)
+
+    def test_creal_sqrt_refuses_a_provably_negative_value(self):
+        with pytest.raises(NegativeInputError):
+            creal_sqrt(CReal(lambda m: -pow2(-m) - pow2(-2 * m))).approx(3)
+        assert creal_sqrt(CReal(lambda m: -pow2(-m))).approx(3) == 0
+
+
+# residuals for the tail cut at allowance A and precision p: exactly on
+# either edge of creal_compare's margin 2^-(p+1), just past it, or anywhere
+_residual_kinds = st.sampled_from(["upper edge", "past upper", "lower edge",
+                                   "past lower", "inside", "free"])
+
+
+def _residual(kind, allowance, free):
+    m = pow2(-(prec_for(allowance) + 1))
+    return {"upper edge": allowance + m,
+            "past upper": allowance + m + m / 7,
+            "lower edge": -allowance - m,
+            "past lower": -allowance - m - m / 7,
+            "inside": allowance * free / 20,
+            "free": free}[kind]
+
+
+def _refuse(*args):
+    raise AssertionError("an exact cut called creal_compare")
+
+
+def _cut_outcome(total, partial_at, theta, limit):
+    try:
+        return certified_tail_cut(total, partial_at, theta, limit, what="w")
+    except PrecisionExhaustionError as exc:
+        return str(exc)
+
+
+def _compare_walk(total, partial_at, theta, limit):
+    """The former certified_tail_cut: both verdicts from creal_compare."""
+    count = 4
+    while count <= limit:
+        allowance = theta(count)
+        p = prec_for(allowance)
+        t = creal_sub(total, partial_at(count))
+        if creal_compare(t, creal_from_rational(allowance),
+                         p) is not Comparison.GREATER_CERTAIN:
+            if creal_compare(t, creal_from_rational(-allowance),
+                             p) is Comparison.LESS_CERTAIN:
+                return (f"w: claimed total understates the data "
+                        f"(certificate provably negative by index {count})")
+            return count
+        count *= 2
+    return f"w: not certified within {limit} terms"
+
+
+class TestExactTailCut:
+    """certified_tail_cut decides exact operands by integer
+    cross-multiplication; its verdicts are creal_compare's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(total=st.fractions(-4, 4, max_denominator=1 << 12),
+           steps=st.lists(st.tuples(st.integers(0, 40), st.booleans(),
+                                    _residual_kinds,
+                                    st.fractions(-20, 20, max_denominator=9)),
+                          min_size=1, max_size=5))
+    def test_exact_verdicts_are_creal_compares(self, total, steps):
+        # per doubling count: an allowance 2^-a or 3/5 2^-a, and the
+        # partial sum that leaves the drawn residual
+        counts = [4 << i for i in range(len(steps))]
+        allowance, partial = {}, {}
+        for count, (a, dyadic, kind, free) in zip(counts, steps):
+            allowance[count] = pow2(-a) * (1 if dyadic else F(3, 5))
+            partial[count] = total - _residual(kind, allowance[count], free)
+        args = (creal_from_rational(total),
+                lambda count: creal_from_rational(partial[count]),
+                allowance.__getitem__, counts[-1])
+        want = _compare_walk(*args)
+        # the exact operands never reach creal_compare
+        with mock.patch.object(realcore, "creal_compare", _refuse):
+            assert _cut_outcome(*args) == want
+
+    def test_edges_decide_as_creal_compare_does(self):
+        # residual - allowance exactly 2^-(p+1) is within: the cut stops;
+        # residual + allowance exactly -2^-(p+1) is within: it stops too
+        A = pow2(-10)
+        one = creal_from_rational(1)
+        for residual, want in ((A + pow2(-11), 4), (-A - pow2(-11), 4),
+                               (-A - pow2(-11) - pow2(-40), None)):
+            got = _cut_outcome(one, lambda count: creal_from_rational(
+                1 - residual), lambda _: A, 4)
+            if want is None:
+                assert "claimed total understates the data" in got
+            else:
+                assert got == want
+        past = _cut_outcome(one, lambda count: creal_from_rational(
+            1 - (A + pow2(-11) + pow2(-40))), lambda _: A, 4)
+        assert past == "w: not certified within 4 terms"
+
